@@ -265,7 +265,44 @@ def release_coverage(
 
     The grid is anchored to the footprint corner, so translating the
     footprint and holes together leaves the result unchanged.
+
+    Each hole is evaluated only on the window of cells its front can
+    reach: the cells whose centre lies within the hole's half extent
+    plus its underetch plus a margin of two cell half-diagonals and one
+    ramp width, per axis. The signed distances are 1-Lipschitz and at
+    least the per-axis excess over that extent, so a hole skipped at a
+    cell is farther than a half-diagonal plus a ramp from its centre and
+    farther than half a ramp from each of its subsample points. It can
+    neither be the minimum that classifies the centre nor give a
+    subsample point a nonzero weight, and every point still evaluated
+    uses the same arithmetic, so the result is bit-identical to testing
+    every hole everywhere.
     """
+    return _coverage(footprint, holes, underetch, grid_pitch, stop_below_one=False)
+
+
+def _released(
+    footprint: Rect,
+    holes: list[Hole] | tuple[Hole, ...],
+    underetch: "list[float] | tuple[float, ...] | np.ndarray",
+    grid_pitch: float,
+) -> bool:
+    """``release_coverage(...) >= 1.0``, without subsampling when a cell
+    centre lies at least a half-diagonal outside every front: that cell
+    counts exactly 0, so the fraction is below 1."""
+    fraction = _coverage(footprint, holes, underetch, grid_pitch, stop_below_one=True)
+    return fraction is not None and fraction >= 1.0
+
+
+def _coverage(
+    footprint: Rect,
+    holes: list[Hole] | tuple[Hole, ...],
+    underetch: "list[float] | tuple[float, ...] | np.ndarray",
+    grid_pitch: float,
+    stop_below_one: bool,
+) -> float | None:
+    """The coverage fraction, or None if ``stop_below_one`` and some cell
+    centre is seen to count 0 before any subsampling."""
     if len(holes) != len(underetch):
         raise ValueError("underetch list length must match the hole list")
     if not grid_pitch > 0.0:
@@ -290,24 +327,41 @@ def release_coverage(
         Hole(h.shape, h.width, h.length, (h.center[0] - x0, h.center[1] - y0))
         for h in holes
     ]
-    gx, gy = np.meshgrid(xs, ys)
-
-    dist = np.full_like(gx, np.inf)
-    for hole, ui in zip(rel_holes, u):
-        np.minimum(dist, _front_distance(hole, ui, gx, gy), out=dist)
-
     half_diag = 0.5 * math.hypot(px, py)
+    ramp = 0.5 * (px + py) / _SUBSAMPLE
+    margin = 2.0 * half_diag + ramp
+
+    # windows[k] = (first column, end column, first row, end row) of the
+    # cells hole k can reach
+    windows = []
+    dist = np.full((ny, nx), np.inf)
+    for hole, ui in zip(rel_holes, u):
+        rx = 0.5 * hole.width + ui + margin
+        ry = 0.5 * hole.length + ui + margin
+        c0, c1 = np.searchsorted(xs, (hole.center[0] - rx, hole.center[0] + rx))
+        r0, r1 = np.searchsorted(ys, (hole.center[1] - ry, hole.center[1] + ry))
+        windows.append((c0, c1, r0, r1))
+        view = dist[r0:r1, c0:c1]
+        d = _front_distance(hole, ui, xs[c0:c1][None, :], ys[r0:r1][:, None])
+        np.minimum(view, d, out=view)
+
+    if stop_below_one and np.any(dist >= half_diag):
+        return None
     fraction = np.where(dist <= -half_diag, 1.0, 0.0)
     edge = np.abs(dist) < half_diag
-    if np.any(edge):
+    rows, cols = np.nonzero(edge)
+    if rows.size:
         offsets = (np.arange(_SUBSAMPLE) + 0.5) / _SUBSAMPLE - 0.5
         ox, oy = (o.ravel() for o in np.meshgrid(offsets, offsets))
-        sx = (gx[edge][:, None] + (ox * px)[None, :]).ravel()
-        sy = (gy[edge][:, None] + (oy * py)[None, :]).ravel()
-        sub_dist = np.full(sx.shape, np.inf)
-        for hole, ui in zip(rel_holes, u):
-            np.minimum(sub_dist, _front_distance(hole, ui, sx, sy), out=sub_dist)
-        ramp = 0.5 * (px + py) / _SUBSAMPLE
+        ox, oy = ox * px, oy * py
+        sub_dist = np.full((rows.size, _SUBSAMPLE * _SUBSAMPLE), np.inf)
+        for hole, ui, (c0, c1, r0, r1) in zip(rel_holes, u, windows):
+            near = np.flatnonzero((cols >= c0) & (cols < c1) & (rows >= r0) & (rows < r1))
+            if near.size:
+                sx = xs[cols[near], None] + ox
+                sy = ys[rows[near], None] + oy
+                d = _front_distance(hole, ui, sx, sy)
+                sub_dist[near] = np.minimum(sub_dist[near], d)
         weight = np.clip(0.5 - sub_dist / ramp, 0.0, 1.0)
-        fraction[edge] = weight.reshape(-1, _SUBSAMPLE * _SUBSAMPLE).mean(axis=1)
+        fraction[edge] = weight.mean(axis=1)
     return float(fraction.mean())

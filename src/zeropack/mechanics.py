@@ -16,6 +16,7 @@ plate the maximum sits at the mid-edge.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,6 +30,10 @@ from .geometry import Material
 from .units import NM, UM
 
 MIN_GRID_N = 16
+
+# held around the cached unit solve, so that concurrent callers of one
+# geometry (the rows of a threaded sweep) share a single factorisation
+_UNIT_SOLUTION_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -173,7 +178,8 @@ def solve_plate(spec: PlateSpec, grid_n: int = 128) -> PlateSolution:
     """Deflection of the clamped plate on a (grid_n+1)^2 node grid."""
     if grid_n < MIN_GRID_N:
         raise ValueError(f"grid_n must be >= {MIN_GRID_N}")
-    x, y, v = _unit_solution(spec.side_a, spec.side_b, grid_n)
+    with _UNIT_SOLUTION_LOCK:
+        x, y, v = _unit_solution(spec.side_a, spec.side_b, grid_n)
     scale = spec.pressure / flexural_rigidity(spec.material, spec.thickness)
     w = v * scale
     solution = PlateSolution(

@@ -25,6 +25,7 @@ library defaults.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -108,13 +109,21 @@ class Recipe:
 
 
 def parse_quantity(token: str, kind: str, where: str) -> float:
-    """Parse ``1.5um``-style quantities into SI, enforcing the dimension."""
+    """Parse ``1.5um``-style quantities into SI, enforcing the dimension.
+
+    Values that overflow to infinity, as written or once scaled to SI,
+    are rejected.
+    """
     m = _NUMBER_RE.fullmatch(token.strip())
     if not m:
         raise RecipeError(f"{where}: cannot parse quantity {token!r}")
-    value = float(m.group(1))
-    unit = m.group(2)
+    value = _to_si(float(m.group(1)), m.group(2), kind, where)
+    if not math.isfinite(value):
+        raise RecipeError(f"{where}: quantity {token.strip()!r} is not finite")
+    return value
 
+
+def _to_si(value: float, unit: str, kind: str, where: str) -> float:
     if kind == "none":
         if unit:
             raise RecipeError(f"{where}: expected a dimensionless number, got unit {unit!r}")

@@ -31,6 +31,7 @@ from .geometry import (
     Material,
     PackageStack,
     Rect,
+    _released,
     default_coverage_pitch,
     hole_area,
     release_coverage,
@@ -224,7 +225,7 @@ def time_to_release(
     traj = _FrontTrajectory(holes, stack, params)
 
     def covered(t: float) -> bool:
-        return release_coverage(footprint, holes, traj.at(t), pitch) >= 1.0
+        return _released(footprint, holes, traj.at(t), pitch)
 
     if covered(0.0):
         return 0.0, 0.0

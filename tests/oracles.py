@@ -4,7 +4,8 @@ Each oracle deliberately avoids the code path it validates: the etch
 oracles integrate with plain explicit Euler or solve the quadratic first
 integral directly, the plate oracle is a polynomial Rayleigh-Ritz energy
 minimization (no finite differences), and the residue oracle is brute
-trapezoid quadrature.
+trapezoid quadrature, and the coverage oracle rasterises every hole at
+every point.
 """
 
 import math
@@ -101,15 +102,69 @@ def ritz_clamped_square(n_terms=8):
     return float(w_center), float(-wxx_edge)
 
 
+def _dilated_distance(hole, cx, cy, reach, x, y):
+    """Signed distance from points to a hole centred at ``(cx, cy)`` and
+    dilated by ``reach``; the hole is read through its fields only."""
+    dx = x - cx
+    dy = y - cy
+    if hole.shape == "circle":
+        return np.hypot(dx, dy) - (0.5 * hole.width + reach)
+    qx = np.abs(dx) - 0.5 * hole.width
+    qy = np.abs(dy) - 0.5 * hole.length
+    outside = np.hypot(np.maximum(qx, 0.0), np.maximum(qy, 0.0))
+    inside = np.minimum(np.maximum(qx, qy), 0.0)
+    return outside + inside - reach
+
+
+def dense_release_coverage(footprint, holes, underetch, pitch):
+    """Release coverage by brute rasterisation: every hole is tested at
+    every cell centre, and every hole at every subsample point of each
+    cell the fronts cross (``|distance|`` under a half-diagonal).
+
+    Follows the documented rasterisation of ``release_coverage`` with no
+    windowing or early exit, so the two agree bit for bit."""
+    if not holes:
+        return 0.0
+    nx = max(1, math.ceil(footprint.width / pitch))
+    ny = max(1, math.ceil(footprint.length / pitch))
+    px = footprint.width / nx
+    py = footprint.length / ny
+    x0 = footprint.center[0] - 0.5 * footprint.width
+    y0 = footprint.center[1] - 0.5 * footprint.length
+    gx, gy = np.meshgrid((np.arange(nx) + 0.5) * px, (np.arange(ny) + 0.5) * py)
+
+    def union_distance(x, y):
+        return np.min(
+            [
+                _dilated_distance(h, h.center[0] - x0, h.center[1] - y0, u, x, y)
+                for h, u in zip(holes, underetch)
+            ],
+            axis=0,
+        )
+
+    dist = union_distance(gx, gy)
+    half_diag = 0.5 * math.hypot(px, py)
+    cells = np.where(dist <= -half_diag, 1.0, 0.0)
+    edge = np.abs(dist) < half_diag
+    if np.any(edge):
+        subsample = 16
+        offsets = (np.arange(subsample) + 0.5) / subsample - 0.5
+        ox, oy = (o.ravel() for o in np.meshgrid(offsets, offsets))
+        sx = gx[edge][:, None] + ox * px
+        sy = gy[edge][:, None] + oy * py
+        ramp = 0.5 * (px + py) / subsample
+        weight = np.clip(0.5 - union_distance(sx, sy) / ramp, 0.0, 1.0)
+        cells[edge] = weight.mean(axis=1)
+    return float(cells.mean())
+
+
 def scan_release_time(footprint, holes, stack, params, pitch, step=0.01 * MINUTE, cap=150 * MINUTE):
     """First multiple of ``step`` at which coverage hits 1, using the
-    closed-form front solution."""
-    from zeropack.geometry import release_coverage
-
+    closed-form front solution and the dense coverage oracle."""
     t = 0.0
     while t <= cap:
         u = [closed_form_underetch(h, stack, params, t) for h in holes]
-        if release_coverage(footprint, holes, u, pitch) >= 1.0:
+        if dense_release_coverage(footprint, holes, u, pitch) >= 1.0:
             return t
         t += step
     raise AssertionError("release scan exceeded cap")

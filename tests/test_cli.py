@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FAST_RECIPE, SRC
+from conftest import FAST_RECIPE, REFERENCE_RECIPE, REPO, SRC
 from zeropack.cli import main
 from zeropack.pipeline import parse_tabular_report
 
@@ -68,6 +68,22 @@ class TestSimulate:
         assert main(["simulate", str(path)]) == 3
         assert "model error: release:" in capsys.readouterr().err
 
+    def test_reference_tabular_is_byte_identical(self, tmp_path):
+        out_file = tmp_path / "reference.csv"
+        code = main(
+            ["simulate", str(REFERENCE_RECIPE), "--format", "tabular", "--out", str(out_file)]
+        )
+        assert code == 0
+        expected = (REPO / "perfbench" / "expected" / "reference.csv").read_bytes()
+        assert out_file.read_bytes() == expected
+
+    def test_non_finite_quantity_exits_two(self, tmp_path, capsys):
+        text = FAST_RECIPE.replace("probe_time = 2min", "probe_time = 1e400min")
+        path = tmp_path / "inf.recipe"
+        path.write_text(text)
+        assert main(["simulate", str(path)]) == 2
+        assert "not finite" in capsys.readouterr().err
+
     def test_uncloggable_exits_three(self, tmp_path, capsys):
         text = FAST_RECIPE.replace(
             "hole = circle diameter=2um", "hole = circle diameter=2um\nhole = circle diameter=4um"
@@ -109,6 +125,13 @@ class TestSweep:
             ["sweep", str(fast_recipe_file), "--param", "holes.diameter", "--values", "2min"]
         )
         assert code == 2
+
+    def test_non_finite_value_exits_two(self, fast_recipe_file, capsys):
+        code = main(
+            ["sweep", str(fast_recipe_file), "--param", "holes.diameter", "--values", "1e400um"]
+        )
+        assert code == 2
+        assert "not finite" in capsys.readouterr().err
 
     def test_workers_give_identical_output(self, fast_recipe_file, capsys):
         args = [

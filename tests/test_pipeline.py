@@ -1,7 +1,11 @@
 import dataclasses
+import functools
+import sys
+import time
 
 import pytest
 
+from zeropack import mechanics
 from zeropack.clogging import aperture_after, residue_estimate, thickness_to_clog
 from zeropack.errors import RecipeError, ReleaseTooSlowError
 from zeropack.mechanics import PlateSpec, solve_plate
@@ -219,6 +223,31 @@ class TestSweep:
             sweep(fast_recipe, "holes.diameter", values, max_workers=4), "tabular"
         )
         assert serial == threaded
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_threaded_rows_share_one_plate_factorisation(
+        self, fast_recipe, monkeypatch, workers
+    ):
+        solved = []
+        unit_solution = mechanics._unit_solution.__wrapped__
+
+        def slow_unit_solution(*key):
+            solved.append(key)
+            time.sleep(0.3)  # keep the cold solve open while the other row arrives
+            return unit_solution(*key)
+
+        monkeypatch.setattr(
+            mechanics, "_unit_solution", functools.lru_cache(maxsize=32)(slow_unit_solution)
+        )
+        values = [(1.5 + 0.25 * i) * UM for i in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            rows = sweep(fast_recipe, "stack.clog_deposition", values, max_workers=workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(rows) == workers
+        assert len(solved) == 1
 
     def test_custom_labels(self, fast_recipe):
         rows = sweep(fast_recipe, "holes.diameter", [2 * UM], labels=["2um"])

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import dense_release_coverage
+
 from zeropack.clogging import (
     ClogParams,
     aperture_after,
@@ -23,6 +25,7 @@ from zeropack.geometry import (
     Hole,
     PackageStack,
     Rect,
+    _released,
     hole_min_dimension,
     release_coverage,
     standard_materials,
@@ -59,6 +62,36 @@ def layouts(draw, max_holes=3):
             holes.append(Hole.rectangle(d1, ratio * d1, (hx, hy)))
         dists.append(draw(UM_F) * UM)
     return footprint, holes, dists
+
+
+@st.composite
+def spread_layouts(draw, max_holes=4):
+    """Mixed-shape layouts on a footprint anywhere in the plane, with
+    underetch from zero to past full release (one footprint diagonal)."""
+    fw = draw(st.floats(min_value=4.0, max_value=15.0)) * UM
+    fl = draw(st.floats(min_value=4.0, max_value=15.0)) * UM
+    cx = draw(st.floats(min_value=-500.0, max_value=500.0)) * UM
+    cy = draw(st.floats(min_value=-500.0, max_value=500.0)) * UM
+    footprint = Rect(fw, fl, (cx, cy))
+    scale = draw(st.floats(min_value=0.0, max_value=1.2)) * math.hypot(fw, fl)
+    holes, dists = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=max_holes))):
+        shape = draw(st.sampled_from(["circle", "square", "rectangle"]))
+        d1 = draw(st.floats(min_value=1.0, max_value=4.0)) * UM
+        center = (
+            cx + draw(st.floats(min_value=-0.5, max_value=0.5)) * fw,
+            cy + draw(st.floats(min_value=-0.5, max_value=0.5)) * fl,
+        )
+        if shape == "circle":
+            holes.append(Hole.circle(d1, center))
+        elif shape == "square":
+            holes.append(Hole.square(d1, center))
+        else:
+            ratio = draw(st.floats(min_value=1.0, max_value=3.0))
+            holes.append(Hole.rectangle(d1, ratio * d1, center))
+        dists.append(draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)) * scale)
+    pitch = min(hole_min_dimension(h) for h in holes) / draw(st.sampled_from([3.0, 4.0, 8.0]))
+    return footprint, holes, dists, pitch
 
 
 def zero_or(lo: float, hi: float):
@@ -134,6 +167,35 @@ class TestCoverageProperties:
         coarse = release_coverage(footprint, holes, dists, pitch)
         fine = release_coverage(footprint, holes, dists, pitch / 2.0)
         assert abs(coarse - fine) < 0.01
+
+
+class TestCoverageOracle:
+    @given(case=spread_layouts())
+    def test_equals_dense_rasterisation_bit_for_bit(self, case):
+        assert release_coverage(*case) == dense_release_coverage(*case)
+
+    @settings(max_examples=60)
+    @given(case=spread_layouts())
+    def test_release_predicate_equals_dense_threshold(self, case):
+        footprint, holes, dists, pitch = case
+
+        def agree(extra):
+            grown = [d + extra for d in dists]
+            released = dense_release_coverage(footprint, holes, grown, pitch) >= 1.0
+            assert _released(footprint, holes, grown, pitch) == released
+            return released
+
+        agree(0.0)
+        # bracket the common front growth at which the layout releases,
+        # where the predicate's answer is hardest to get right
+        lo, hi = 0.0, math.hypot(footprint.width, footprint.length)
+        for _ in range(12):
+            mid = 0.5 * (lo + hi)
+            if agree(mid):
+                hi = mid
+            else:
+                lo = mid
+        assert agree(hi)
 
 
 class TestEtchProperties:

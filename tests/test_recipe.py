@@ -65,6 +65,15 @@ class TestParseQuantity:
         with pytest.raises(RecipeError, match="dimension mismatch"):
             parse_quantity("3MPa", "time", "t")
 
+    def test_non_finite_rejected(self):
+        with pytest.raises(RecipeError, match="not finite"):
+            parse_quantity("1e400min", "time", "t")
+        with pytest.raises(RecipeError, match="not finite"):
+            parse_quantity("1e400", "none", "t")
+        # finite as written, infinite once scaled to SI
+        with pytest.raises(RecipeError, match="not finite"):
+            parse_quantity("1e308GPa", "pressure", "t")
+
     def test_garbage(self):
         with pytest.raises(RecipeError, match="cannot parse"):
             parse_quantity("abc", "length", "t")

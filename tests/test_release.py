@@ -2,11 +2,18 @@ import math
 
 import pytest
 
-from oracles import closed_form_underetch, euler_underetch, scan_release_time
+from oracles import (
+    closed_form_underetch,
+    dense_release_coverage,
+    euler_underetch,
+    scan_release_time,
+)
+from zeropack import release as release_mod
 from zeropack.errors import CalibrationError, DataFileError, ReleaseTooSlowError
-from zeropack.geometry import Hole, PackageStack, Rect
+from zeropack.geometry import Hole, PackageStack, Rect, _released, default_coverage_pitch
 from zeropack.release import (
     DEFAULT_ETCH_PARAMS,
+    TIME_TOLERANCE,
     EtchObservation,
     EtchParams,
     bundled_observations,
@@ -187,6 +194,42 @@ class TestTimeToRelease:
         )
         t_scan = scan_release_time(fp, holes, stack, PARAMS, pitch)
         assert abs(t - t_scan) <= 0.01 * MINUTE + 1e-3 * MINUTE
+
+    def test_reference_release_time_is_pinned(self, reference_recipe, monkeypatch):
+        queries = []
+
+        def counted(*args):
+            queries.append(args)
+            return _released(*args)
+
+        monkeypatch.setattr(release_mod, "_released", counted)
+        r = reference_recipe
+        t, _ = time_to_release(
+            r.stack.cavity_footprint,
+            r.holes,
+            r.stack,
+            r.etch,
+            r.material("structural"),
+            max_time=r.etch_max_time,
+            grid_pitch=r.coverage_pitch,
+        )
+        assert t == 5787.01171875
+        # t = 0, doubling from 1 min to 128 min, then 16 bisection steps
+        assert len(queries) == 25
+
+    def test_reference_release_bracket_agrees_with_dense_oracle(self, reference_recipe):
+        r = reference_recipe
+        fp = r.stack.cavity_footprint
+        # the 36 holes are identical, so one front serves them all
+        assert len({(h.shape, h.width) for h in r.holes}) == 1
+        pitch = default_coverage_pitch(r.holes)
+        verdicts = []
+        for t in (5787.01171875, 5787.01171875 + TIME_TOLERANCE):
+            u = [underetch(r.holes[0], r.stack, r.etch, t)] * len(r.holes)
+            released = _released(fp, r.holes, u, pitch)
+            assert released == (dense_release_coverage(fp, r.holes, u, pitch) >= 1.0)
+            verdicts.append(released)
+        assert verdicts == [False, True]
 
     def test_structural_loss_tracks_selectivity(self, materials):
         fp = Rect(10 * UM, 10 * UM)
