@@ -18,7 +18,6 @@ from .mechanics import PlateSpec, solve_plate
 from .units import NM, UM
 
 THICKNESS_STEP = 10.0 * NM
-SEARCH_GRID_N = 96
 VERIFY_GRID_N = 128
 
 
@@ -85,10 +84,11 @@ def min_cap_thickness(
 ) -> float:
     """Smallest cap thickness meeting both molding constraints.
 
-    Searches the 10 nm lattice ``t_min + k * step`` by bisection on the
-    monotone feasibility predicate (cheap solve at grid 96), then pins
-    the answer against the verification grid (128), so the result equals
-    an exhaustive scan of the same lattice at the verification grid.
+    Bisects the 10 nm lattice ``t_min + k * step`` on the monotone
+    feasibility predicate, solved on the verification grid (128), then
+    steps to the first feasible point whose predecessor is infeasible, so
+    the result equals an exhaustive scan of the same lattice on that
+    grid. Every solve shares one cached factorisation per geometry.
     """
     c = constraints
     last = int((c.thickness_max - c.thickness_min) / step)
@@ -96,8 +96,8 @@ def min_cap_thickness(
     def t_at(k: int) -> float:
         return c.thickness_min + k * step
 
-    def feasible(k: int, grid_n: int) -> bool:
-        return not _violations(material, t_at(k), c, grid_n)
+    def feasible(k: int) -> bool:
+        return not _violations(material, t_at(k), c, VERIFY_GRID_N)
 
     problems = _violations(material, c.thickness_max, c, VERIFY_GRID_N)
     if problems:
@@ -106,23 +106,21 @@ def min_cap_thickness(
             f"{c.thickness_max / UM:g} um: " + "; ".join(problems)
         )
 
-    lo, hi = 0, last  # invariant: lo infeasible, hi feasible (search grid)
-    if feasible(0, SEARCH_GRID_N):
+    lo, hi = 0, last  # invariant: lo infeasible, hi feasible or last
+    if feasible(0):
         hi = 0
-    elif not feasible(last, SEARCH_GRID_N):
-        hi = last  # grids disagree at the top; leave it to the verify pass
     else:
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if feasible(mid, SEARCH_GRID_N):
+            if feasible(mid):
                 hi = mid
             else:
                 lo = mid
-    # settle the lattice point on the verification grid
+    # settle on the lattice point an exhaustive scan would stop at
     k = hi
-    while k <= last and not feasible(k, VERIFY_GRID_N):
+    while k <= last and not feasible(k):
         k += 1
-    while k > 0 and feasible(k - 1, VERIFY_GRID_N):
+    while k > 0 and feasible(k - 1):
         k -= 1
     return t_at(k)
 

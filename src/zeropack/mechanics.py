@@ -162,9 +162,12 @@ def _curvatures(w: np.ndarray, hx: float, hy: float):
 
 def max_bending_stress(spec: PlateSpec, solution: PlateSolution) -> float:
     """Largest bending stress magnitude over the plate, in Pa."""
-    w = solution.deflection
-    hx = spec.side_a / solution.grid_n
-    hy = spec.side_b / solution.grid_n
+    return _peak_stress(spec, solution.deflection, solution.grid_n)
+
+
+def _peak_stress(spec: PlateSpec, w: np.ndarray, grid_n: int) -> float:
+    hx = spec.side_a / grid_n
+    hy = spec.side_b / grid_n
     wxx, wyy = _curvatures(w, hx, hy)
     d = flexural_rigidity(spec.material, spec.thickness)
     nu = spec.material.poisson_ratio
@@ -180,22 +183,13 @@ def solve_plate(spec: PlateSpec, grid_n: int = 128) -> PlateSolution:
         raise ValueError(f"grid_n must be >= {MIN_GRID_N}")
     with _UNIT_SOLUTION_LOCK:
         x, y, v = _unit_solution(spec.side_a, spec.side_b, grid_n)
-    scale = spec.pressure / flexural_rigidity(spec.material, spec.thickness)
-    w = v * scale
-    solution = PlateSolution(
-        x=x,
-        y=y,
-        deflection=w,
-        w_max=float(np.abs(w).max()),
-        sigma_max=0.0,
-        grid_n=grid_n,
-    )
+    w = v * (spec.pressure / flexural_rigidity(spec.material, spec.thickness))
     return PlateSolution(
         x=x,
         y=y,
         deflection=w,
-        w_max=solution.w_max,
-        sigma_max=max_bending_stress(spec, solution),
+        w_max=float(np.abs(w).max()),
+        sigma_max=_peak_stress(spec, w, grid_n),
         grid_n=grid_n,
     )
 

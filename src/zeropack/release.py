@@ -13,12 +13,19 @@ third is the lateral channel resistance: species travel a path of length
 ``U`` through a channel of height ``h_s`` to reach the front. Both
 constants are calibrated against measured underetch data.
 
-Rates and distances are SI (m/s, m); the classical 4-stage fixed-step
-integrator uses a 0.01 min step.
+The law has an exact first integral. With ``p = 1 + A_f h_s / A_open``
+and ``b = C_f / h_s``, a front that starts at ``u0`` satisfies
+
+    p U + b U^2 / 2 = R0 t + p u0 + b u0^2 / 2
+
+so every front position is the positive root of one quadratic, evaluated
+directly at the queried time rather than stepped to it. Rates and
+distances are SI (m/s, m).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -38,7 +45,6 @@ from .geometry import (
 )
 from .units import MINUTE, UM
 
-RK4_STEP = 0.01 * MINUTE
 DEFAULT_TIME_CAP = 120.0 * MINUTE
 TIME_TOLERANCE = 1e-3 * MINUTE
 
@@ -91,40 +97,38 @@ class CalibrationResult:
     n_observations: int
 
 
+def _feed(params: EtchParams, h_s: float, hole: Hole) -> float:
+    """Aperture feed resistance ``A_f h_s / A_open`` of one hole."""
+    return params.aperture_factor * h_s / hole_area(hole)
+
+
 def etch_rate(
     hole: Hole, stack: PackageStack, params: EtchParams, underetch: float = 0.0
 ) -> float:
     """Instantaneous front speed (m/s) at a given underetch distance."""
     if underetch < 0.0:
         raise ValueError("underetch must be >= 0")
-    feed = params.aperture_factor * stack.sacrificial_thickness / hole_area(hole)
-    return _rate(params, feed, stack.sacrificial_thickness, underetch)
-
-
-def _rate(params, feed_resistance, h_s, u):
+    h_s = stack.sacrificial_thickness
     return params.intrinsic_rate / (
-        1.0 + feed_resistance + params.channel_factor * u / h_s
+        1.0 + _feed(params, h_s, hole) + params.channel_factor * underetch / h_s
     )
 
 
-def _rk4(params, feed_resistance, h_s, u, h):
-    k1 = _rate(params, feed_resistance, h_s, u)
-    k2 = _rate(params, feed_resistance, h_s, u + 0.5 * h * k1)
-    k3 = _rate(params, feed_resistance, h_s, u + 0.5 * h * k2)
-    k4 = _rate(params, feed_resistance, h_s, u + h * k3)
-    return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _front(params, feed_resistance, h_s, duration, u0=0.0):
+    """Front position after etching ``duration`` from ``u0``.
 
-
-def _integrate(params, feed_resistance, h_s, duration, u0, step=RK4_STEP):
-    """Fixed-step integration; works on floats and numpy arrays alike."""
-    q = duration / step
-    n_full = int(q)
-    u = u0
-    for _ in range(n_full):
-        u = _rk4(params, feed_resistance, h_s, u, step)
-    if q - n_full > 1e-9:
-        u = _rk4(params, feed_resistance, h_s, u, duration - n_full * step)
-    return u
+    The positive root of the first integral, written as
+    ``2 rhs / (p + sqrt(p^2 + 2 b rhs))`` so that it neither cancels for
+    small ``b rhs`` nor needs a branch at ``b = 0``. Works on floats and
+    numpy arrays alike (``feed_resistance`` and ``u0`` may be arrays); the
+    float path returns a float.
+    """
+    p = 1.0 + feed_resistance
+    b = params.channel_factor / h_s
+    rhs = params.intrinsic_rate * duration + p * u0 + 0.5 * b * u0 * u0
+    disc = p * p + 2.0 * b * rhs
+    root = np.sqrt(disc) if isinstance(disc, np.ndarray) else math.sqrt(disc)
+    return 2.0 * rhs / (p + root)
 
 
 def underetch(
@@ -143,36 +147,8 @@ def underetch(
         raise ValueError("duration must be >= 0")
     if start < 0.0:
         raise ValueError("start must be >= 0")
-    feed = params.aperture_factor * stack.sacrificial_thickness / hole_area(hole)
-    return float(
-        _integrate(params, feed, stack.sacrificial_thickness, duration, start)
-    )
-
-
-class _FrontTrajectory:
-    """Underetch of every hole on the shared integration grid, extended
-    lazily as later times are queried."""
-
-    def __init__(self, holes, stack, params):
-        self.params = params
-        self.h_s = stack.sacrificial_thickness
-        self.feed = np.array(
-            [params.aperture_factor * self.h_s / hole_area(h) for h in holes]
-        )
-        self.states = [np.zeros(len(holes))]
-
-    def at(self, t: float) -> np.ndarray:
-        q = t / RK4_STEP
-        n_full = int(q)
-        while len(self.states) <= n_full:
-            self.states.append(
-                _rk4(self.params, self.feed, self.h_s, self.states[-1], RK4_STEP)
-            )
-        u = self.states[n_full]
-        rem = t - n_full * RK4_STEP
-        if rem > 1e-9 * RK4_STEP:
-            u = _rk4(self.params, self.feed, self.h_s, u, rem)
-        return u
+    h_s = stack.sacrificial_thickness
+    return _front(params, _feed(params, h_s, hole), h_s, duration, start)
 
 
 def etch_state(
@@ -222,15 +198,15 @@ def time_to_release(
     if not max_time > 0.0:
         raise ValueError("max_time must be > 0")
     pitch = grid_pitch if grid_pitch is not None else default_coverage_pitch(holes)
-    traj = _FrontTrajectory(holes, stack, params)
+    h_s = stack.sacrificial_thickness
+    feed = np.array([_feed(params, h_s, h) for h in holes])
 
     def covered(t: float) -> bool:
-        return _released(footprint, holes, traj.at(t), pitch)
+        return _released(footprint, holes, _front(params, feed, h_s, t), pitch)
 
     if covered(0.0):
         return 0.0, 0.0
-    # bracket the release time by doubling before bisecting, so the
-    # integration never runs far past the actual release
+    # bracket the release time by doubling before bisecting
     lo, hi = 0.0, None
     t = min(1.0 * MINUTE, max_time)
     while True:
@@ -256,8 +232,8 @@ def time_to_release(
 
 
 def _predicted(params: EtchParams, obs: EtchObservation) -> float:
-    feed = params.aperture_factor * obs.sacrificial_thickness / hole_area(obs.hole)
-    return float(_integrate(params, feed, obs.sacrificial_thickness, obs.time, 0.0))
+    h_s = obs.sacrificial_thickness
+    return _front(params, _feed(params, h_s, obs.hole), h_s, obs.time)
 
 
 def calibrate_etch(

@@ -1,11 +1,15 @@
 """Independent reference implementations used to check the fast paths.
 
 Each oracle deliberately avoids the code path it validates: the etch
-oracles integrate with plain explicit Euler or solve the quadratic first
-integral directly, the plate oracle is a polynomial Rayleigh-Ritz energy
-minimization (no finite differences), and the residue oracle is brute
-trapezoid quadrature, and the coverage oracle rasterises every hole at
-every point.
+oracle integrates the front ODE with plain explicit Euler, the plate
+oracle is a polynomial Rayleigh-Ritz energy minimization (no finite
+differences), the residue oracle is brute trapezoid quadrature, and the
+coverage oracle rasterises every hole at every point.
+
+``closed_form_underetch`` is the exception: the program itself evaluates
+the quadratic first integral of the front law, so that oracle restates
+the program's own algebra and checks only its arithmetic.
+``euler_underetch`` is the independent check of the front model.
 """
 
 import math

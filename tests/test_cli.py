@@ -1,11 +1,14 @@
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from conftest import FAST_RECIPE, REFERENCE_RECIPE, REPO, SRC
+from zeropack import release as release_mod
 from zeropack.cli import main
 from zeropack.pipeline import parse_tabular_report
 
@@ -83,6 +86,28 @@ class TestSimulate:
         path.write_text(text)
         assert main(["simulate", str(path)]) == 2
         assert "not finite" in capsys.readouterr().err
+
+    def test_huge_probe_time_is_bounded_work(self, tmp_path, capsys, monkeypatch):
+        # the front is evaluated in closed form, so its cost does not grow
+        # with the probed time
+        spent = []
+        front = release_mod._front
+
+        def timed(*args):
+            t0 = time.perf_counter()
+            try:
+                return front(*args)
+            finally:
+                spent.append(time.perf_counter() - t0)
+
+        monkeypatch.setattr(release_mod, "_front", timed)
+        text = FAST_RECIPE.replace("probe_time = 2min", "probe_time = 1e9min")
+        path = tmp_path / "long.recipe"
+        path.write_text(text)
+        assert main(["simulate", str(path), "--format", "tabular"]) == 0
+        probe = parse_tabular_report(capsys.readouterr().out)["probe_underetch"][1]
+        assert math.isfinite(probe) and probe > 0.0
+        assert sum(spent) < 0.1
 
     def test_uncloggable_exits_three(self, tmp_path, capsys):
         text = FAST_RECIPE.replace(

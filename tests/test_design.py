@@ -1,7 +1,6 @@
 import pytest
 
 from zeropack.design import (
-    SEARCH_GRID_N,
     THICKNESS_STEP,
     VERIFY_GRID_N,
     DesignConstraints,
@@ -9,7 +8,7 @@ from zeropack.design import (
     min_cap_thickness,
 )
 from zeropack.errors import DesignError
-from zeropack.mechanics import PlateSpec, solve_plate
+from zeropack.mechanics import PlateSpec, _unit_solution, solve_plate
 from zeropack.units import MPA, NM, UM
 
 pytestmark = pytest.mark.filterwarnings("ignore:thickness")
@@ -180,5 +179,10 @@ class TestEquivalentThickness:
             equivalent_thickness(lto, 4.5 * UM, nitride, molding_constraints(), match="mass")
 
 
-def test_search_and_verify_grids_differ():
-    assert SEARCH_GRID_N < VERIFY_GRID_N
+def test_min_cap_on_fresh_geometry_is_one_cold_solve(lto):
+    # sides no other test uses, so the plate cache starts cold for them
+    c = molding_constraints(side_a=37.3 * UM, side_b=41.9 * UM)
+    misses = _unit_solution.cache_info().misses
+    t = min_cap_thickness(lto, c)
+    assert _unit_solution.cache_info().misses == misses + 1
+    assert t == scan_oracle(lto, c)

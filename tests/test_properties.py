@@ -222,7 +222,7 @@ class TestEtchProperties:
         t2 = t2_min * MINUTE
         direct = underetch(hole, stack, params, t1 + t2)
         staged = underetch(hole, stack, params, t2, start=underetch(hole, stack, params, t1))
-        assert staged == pytest.approx(direct, rel=1e-3, abs=1e-15)
+        assert staged == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
     @settings(max_examples=1000)
     @given(

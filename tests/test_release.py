@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from oracles import (
@@ -91,7 +92,27 @@ class TestUnderetch:
         u1 = underetch(hole, stack, PARAMS, 1.7 * MINUTE)
         resumed = underetch(hole, stack, PARAMS, 2.6 * MINUTE, start=u1)
         direct = underetch(hole, stack, PARAMS, 4.3 * MINUTE)
-        assert resumed == pytest.approx(direct, rel=1e-3)
+        assert resumed == pytest.approx(direct, rel=1e-12)
+
+    def test_returns_a_python_float(self):
+        u = underetch(Hole.circle(2 * UM), stack_with(1.1 * UM), PARAMS, 2 * MINUTE)
+        assert type(u) is float
+
+    @pytest.mark.parametrize("t_min", [0.0, 0.37, 2.0, 96.5, 1e9])
+    def test_array_path_equals_scalar_path_exactly(self, t_min):
+        # time_to_release moves every hole's front at once; each must be
+        # the very float underetch gives for that hole alone
+        stack = stack_with(1.1 * UM)
+        holes = [
+            Hole.circle(2 * UM),
+            Hole.square(3.7 * UM),
+            Hole.rectangle(1.3 * UM, 9 * UM),
+            Hole.circle(40 * UM),
+        ]
+        h_s = stack.sacrificial_thickness
+        feed = np.array([release_mod._feed(PARAMS, h_s, h) for h in holes])
+        fronts = release_mod._front(PARAMS, feed, h_s, t_min * MINUTE)
+        assert fronts.tolist() == [underetch(h, stack, PARAMS, t_min * MINUTE) for h in holes]
 
 
 class TestCalibration:
@@ -153,9 +174,16 @@ class TestCalibration:
 
     def test_bundled_fit_matches_frozen_defaults(self):
         fitted = calibrate_etch(bundled_observations()).params
-        assert fitted.intrinsic_rate == pytest.approx(DEFAULT_ETCH_PARAMS.intrinsic_rate, rel=0.01)
-        assert fitted.aperture_factor == pytest.approx(DEFAULT_ETCH_PARAMS.aperture_factor, rel=0.01)
-        assert fitted.channel_factor == pytest.approx(DEFAULT_ETCH_PARAMS.channel_factor, rel=0.02)
+        # the frozen constants are printed to 6 significant digits in
+        # their working units (um/min, um, -)
+        for name, unit in (
+            ("intrinsic_rate", UM / MINUTE),
+            ("aperture_factor", UM),
+            ("channel_factor", 1.0),
+        ):
+            got = getattr(fitted, name) / unit
+            frozen = getattr(DEFAULT_ETCH_PARAMS, name) / unit
+            assert f"{got:.6g}" == f"{frozen:.6g}", name
 
     def test_thin_film_etches_faster_through_small_holes(self):
         params = calibrate_etch(bundled_observations()).params
