@@ -28,8 +28,9 @@ from .errors import (
     SolverError,
     UncloggableError,
 )
-from .mechanics import PlateSpec, dump_deflection, solve_plate
-from .pipeline import emit_report, emit_sweep, param_kind, run_recipe, sweep
+from .mechanics import dump_deflection
+from .mechanics import solve_plate  # noqa: F401 - perfbench's tracer wraps cli.solve_plate
+from .pipeline import _molding, emit_report, emit_sweep, param_kind, run_recipe, sweep
 from .recipe import load_recipe, parse_quantity
 from .release import calibrate_etch, load_observations
 from .units import MINUTE, MPA, NM, UM
@@ -142,22 +143,8 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_check_molding(args) -> int:
-    recipe = load_recipe(args.recipe)
-    stack = recipe.stack
-    structural = recipe.material("structural")
-    plate = PlateSpec(
-        side_a=stack.cavity_footprint.width,
-        side_b=stack.cavity_footprint.length,
-        thickness=stack.cap_thickness + stack.clog_deposition,
-        material=structural,
-        pressure=recipe.molding.pressure,
-    )
-    solution = solve_plate(plate, recipe.molding.grid_n)
-    limit = recipe.molding.max_deflection
-    deflection_ok = limit is None or solution.w_max <= limit
-    stress_ok = (
-        solution.sigma_max <= structural.failure_stress / recipe.molding.safety_factor
-    )
+    plate, solution, checks = _molding(load_recipe(args.recipe))
+    passed = all(checks.values())
     if args.dump_field is not None:
         args.dump_field.write_text(dump_deflection(solution), encoding="utf-8")
     if args.format == "tabular":
@@ -166,9 +153,8 @@ def _cmd_check_molding(args) -> int:
                 "field,units,value",
                 f"molding_deflection,nm,{solution.w_max / NM:.6g}",
                 f"molding_stress,MPa,{solution.sigma_max / MPA:.6g}",
-                f"check_deflection,-,{1 if deflection_ok else 0}",
-                f"check_stress,-,{1 if stress_ok else 0}",
-                f"passed,-,{1 if deflection_ok and stress_ok else 0}",
+                *(f"check_{name},-,{int(ok)}" for name, ok in checks.items()),
+                f"passed,-,{int(passed)}",
             ]
         ) + "\n"
     else:
@@ -176,12 +162,12 @@ def _cmd_check_molding(args) -> int:
         text = (
             f"cap thickness      {plate.thickness / UM:10.4f} um\n"
             f"molding deflection {solution.w_max / NM:10.3f} nm"
-            f" ({verdict[deflection_ok]})\n"
+            f" ({verdict[checks['deflection']]})\n"
             f"molding stress     {solution.sigma_max / MPA:10.3f} MPa"
-            f" ({verdict[stress_ok]})\n"
+            f" ({verdict[checks['stress']]})\n"
         )
     _write(text, args.out)
-    return EXIT_OK if deflection_ok and stress_ok else EXIT_CONSTRAINT
+    return EXIT_OK if passed else EXIT_CONSTRAINT
 
 
 def main(argv: "list[str] | None" = None) -> int:

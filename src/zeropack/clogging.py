@@ -21,14 +21,14 @@ attenuation, and spreads over a cone set by the cap depth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import UncloggableError
 from .geometry import Hole, Material, PackageStack, hole_min_dimension
-from .units import NM, UM
+from .units import UM
 
 DEFAULT_MAX_DEPOSITION = 10.0 * UM
-SEAL_TOLERANCE = 1.0 * NM
 
 
 @dataclass(frozen=True)
@@ -133,25 +133,26 @@ def thickness_to_clog(
 ) -> float:
     """Smallest deposited thickness that seals the hole.
 
-    Bisection on the monotone remaining aperture, to 1 nm; raises
-    :class:`UncloggableError` if the hole is still open at
-    ``max_deposition``.
+    The aperture closes linearly, so the seal is at ``a0 / rate``; that
+    quotient is then moved by single ulps to the smallest thickness whose
+    computed aperture is exactly 0. Raises :class:`UncloggableError` if
+    the hole is still open at ``max_deposition``.
     """
-    if hole_min_dimension(hole) <= 0.0:
-        return 0.0
-    if aperture_after(hole, cap_thickness, max_deposition, material, params) > 0.0:
+    def aperture(deposited: float) -> float:
+        return aperture_after(hole, cap_thickness, deposited, material, params)
+
+    a0 = hole_min_dimension(hole)
+    if aperture(max_deposition) > 0.0:
         raise UncloggableError(
-            f"hole of {hole_min_dimension(hole) / UM:g} um does not seal within "
+            f"hole of {a0 / UM:g} um does not seal within "
             f"{max_deposition / UM:g} um of deposition"
         )
-    lo, hi = 0.0, max_deposition
-    while hi - lo > SEAL_TOLERANCE:
-        mid = 0.5 * (lo + hi)
-        if aperture_after(hole, cap_thickness, mid, material, params) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    seal = a0 / closure_rate(a0, cap_thickness, material, params)
+    while aperture(seal) > 0.0:
+        seal = math.nextafter(seal, math.inf)
+    while aperture(math.nextafter(seal, 0.0)) == 0.0:
+        seal = math.nextafter(seal, 0.0)
+    return seal
 
 
 def residue_estimate(

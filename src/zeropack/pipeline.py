@@ -10,16 +10,14 @@ text/tabular report formats.
 
 from __future__ import annotations
 
-import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import clogging as clog_mod
 from . import release as release_mod
-from .errors import RecipeError, ZeropackError
-from .geometry import Hole, Rect
+from .errors import ZeropackError
 from .mechanics import PlateSpec, solve_plate
-from .recipe import Recipe
+from .recipe import Recipe, _field_kind, _set_field
 from .units import MBAR, MINUTE, MPA, NM, UM
 
 SWEEP_COLUMNS = (
@@ -68,6 +66,31 @@ def _stage(label: str, fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except ZeropackError as exc:
         raise type(exc)(f"{label}: {exc}") from exc
+
+
+def _molding(recipe: Recipe):
+    """Molding stage: the sealed cap (structural film plus the clog
+    deposition) under the molding load, checked against its limits.
+
+    Returns the plate, its solution and the ``deflection``/``stress``
+    checks.
+    """
+    stack = recipe.stack
+    structural = recipe.material("structural")
+    plate = PlateSpec(
+        side_a=stack.cavity_footprint.width,
+        side_b=stack.cavity_footprint.length,
+        thickness=stack.cap_thickness + stack.clog_deposition,
+        material=structural,
+        pressure=recipe.molding.pressure,
+    )
+    solution = _stage("molding", solve_plate, plate, recipe.molding.grid_n)
+    limit = recipe.molding.max_deflection
+    return plate, solution, {
+        "deflection": limit is None or solution.w_max <= limit,
+        "stress": solution.sigma_max
+        <= structural.failure_stress / recipe.molding.safety_factor,
+    }
 
 
 def run_recipe(recipe: Recipe) -> ProcessReport:
@@ -127,22 +150,8 @@ def run_recipe(recipe: Recipe) -> ProcessReport:
     ]
     governing = max(clog_thickness)
 
-    plate = PlateSpec(
-        side_a=stack.cavity_footprint.width,
-        side_b=stack.cavity_footprint.length,
-        thickness=stack.cap_thickness + stack.clog_deposition,
-        material=structural,
-        pressure=recipe.molding.pressure,
-    )
-    solution = _stage("molding", solve_plate, plate, recipe.molding.grid_n)
-
-    limit = recipe.molding.max_deflection
-    checks = {
-        "sealed": stack.clog_deposition >= governing,
-        "deflection": limit is None or solution.w_max <= limit,
-        "stress": solution.sigma_max
-        <= structural.failure_stress / recipe.molding.safety_factor,
-    }
+    _, solution, molding_checks = _molding(recipe)
+    checks = {"sealed": stack.clog_deposition >= governing, **molding_checks}
     return ProcessReport(
         release_time=release_time,
         structural_loss=structural_loss,
@@ -160,102 +169,20 @@ def run_recipe(recipe: Recipe) -> ProcessReport:
     )
 
 
-_PARAM_KINDS = {
-    "stack.sacrificial_thickness": "length",
-    "stack.cap_thickness": "length",
-    "stack.clog_deposition": "length",
-    "holes.diameter": "length",
-    "holes.side": "length",
-    "holes.width": "length",
-    "holes.length": "length",
-    "release.intrinsic_rate": "rate",
-    "release.aperture_factor": "length",
-    "release.channel_factor": "none",
-    "release.max_time": "time",
-    "release.probe_time": "time",
-    "clogging.closure_per_side": "closure",
-    "clogging.reference_sticking": "none",
-    "clogging.knee_ratio": "none",
-    "clogging.floor_attenuation": "none",
-    "clogging.residue_fraction": "none",
-    "clogging.residue_spread": "none",
-    "clogging.max_deposition": "length",
-    "clogging.chamber_pressure": "pressure",
-    "molding.pressure": "pressure",
-    "molding.max_deflection": "length",
-    "molding.safety_factor": "none",
-}
-
-_HOLES_PATH_RE = re.compile(r"holes(?:\[(\d+)\])?\.(\w+)")
-
-
 def param_kind(path: str) -> str:
     """Dimension of a sweepable recipe field (for parsing CLI values)."""
-    m = _HOLES_PATH_RE.fullmatch(path)
-    key = f"holes.{m.group(2)}" if m else path
-    try:
-        return _PARAM_KINDS[key]
-    except KeyError:
-        raise RecipeError(f"{path!r} is not a numeric recipe field") from None
-
-
-def _resize_hole(hole: Hole, field: str, value: float) -> Hole:
-    allowed = {"circle": ("diameter",), "square": ("side",), "rectangle": ("width", "length")}
-    if field not in allowed[hole.shape]:
-        raise RecipeError(f"{hole.shape} holes have no {field!r} dimension")
-    try:
-        if hole.shape == "circle":
-            return Hole.circle(value, hole.center)
-        if hole.shape == "square":
-            return Hole.square(value, hole.center)
-        if field == "width":
-            return Hole.rectangle(value, hole.length, hole.center)
-        return Hole.rectangle(hole.width, value, hole.center)
-    except ValueError as exc:
-        raise RecipeError(str(exc)) from None
+    return _field_kind(path)
 
 
 def set_param(recipe: Recipe, path: str, value: float) -> Recipe:
     """Return a copy of the recipe with one numeric field replaced.
 
-    Paths: ``stack.<thickness>``, ``holes.<dim>`` (all holes),
-    ``holes[i].<dim>``, ``release.<param>``, ``clogging.<param>``,
-    ``molding.<param>``.
+    Paths are ``<section>.<key>`` for every numeric key a recipe file
+    takes in [stack], [release], [clogging] and [molding] (``grid_n``
+    excepted), plus ``holes.<dim>`` (all holes) and ``holes[i].<dim>``.
+    The value passes the same setter and range checks as a recipe line.
     """
-    param_kind(path)  # validates the path
-    head, _, field = path.partition(".")
-
-    m = _HOLES_PATH_RE.fullmatch(path)
-    if m:
-        index, field = m.group(1), m.group(2)
-        holes = list(recipe.holes)
-        targets = range(len(holes)) if index is None else [int(index)]
-        for i in targets:
-            if not 0 <= i < len(holes):
-                raise RecipeError(f"hole index {i} out of range")
-            holes[i] = _resize_hole(holes[i], field, value)
-        return replace(recipe, holes=tuple(holes))
-
-    try:
-        if head == "stack":
-            return replace(recipe, stack=replace(recipe.stack, **{field: value}))
-        if head == "release":
-            if field in ("max_time", "probe_time"):
-                return replace(
-                    recipe, **{"etch_max_time" if field == "max_time" else "probe_time": value}
-                )
-            return replace(recipe, etch=replace(recipe.etch, **{field: value}))
-        if head == "clogging":
-            if field == "max_deposition":
-                return replace(recipe, max_deposition=value)
-            if field == "chamber_pressure":
-                return replace(recipe, chamber_pressure=value)
-            return replace(recipe, clog=replace(recipe.clog, **{field: value}))
-        if head == "molding":
-            return replace(recipe, molding=replace(recipe.molding, **{field: value}))
-    except ValueError as exc:
-        raise RecipeError(f"{path} = {value!r}: {exc}") from None
-    raise RecipeError(f"{path!r} is not a numeric recipe field")
+    return _set_field(recipe, path, value, f"{path} = {value!r}")
 
 
 def sweep(

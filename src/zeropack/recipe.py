@@ -21,13 +21,21 @@ Sections::
 
 Only [stack] and [holes] are required; everything else falls back to
 library defaults.
+
+Every numeric key of [stack], [release], [clogging] and [molding] is
+listed once in ``_FIELDS`` with its dimension and its place in
+:class:`Recipe`. A recipe line and ``pipeline.set_param`` (the sweep)
+both go through ``_set_field``, so they accept and reject the same
+values; a rejected line is reported as ``line N: key: reason``.
+``grid_n`` (an integer), ``footprint``, ``calibrate_from``, the
+required [stack] keys and [materials] are parsed by hand.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .clogging import DEFAULT_MAX_DEPOSITION, ClogParams
@@ -75,6 +83,40 @@ _MATERIAL_FIELD_KINDS = {
 }
 
 
+# "<section>.<key>" -> (dimension, where the value lives in Recipe)
+_FIELDS = {
+    "stack.sacrificial_thickness": ("length", "stack.sacrificial_thickness"),
+    "stack.cap_thickness": ("length", "stack.cap_thickness"),
+    "stack.clog_deposition": ("length", "stack.clog_deposition"),
+    "release.intrinsic_rate": ("rate", "etch.intrinsic_rate"),
+    "release.aperture_factor": ("length", "etch.aperture_factor"),
+    "release.channel_factor": ("none", "etch.channel_factor"),
+    "release.max_time": ("time", "etch_max_time"),
+    "release.coverage_pitch": ("length", "coverage_pitch"),
+    "release.probe_time": ("time", "probe_time"),
+    "clogging.closure_per_side": ("closure", "clog.closure_per_side"),
+    "clogging.reference_sticking": ("none", "clog.reference_sticking"),
+    "clogging.knee_ratio": ("none", "clog.knee_ratio"),
+    "clogging.floor_attenuation": ("none", "clog.floor_attenuation"),
+    "clogging.residue_fraction": ("none", "clog.residue_fraction"),
+    "clogging.residue_spread": ("none", "clog.residue_spread"),
+    "clogging.max_deposition": ("length", "max_deposition"),
+    "clogging.chamber_pressure": ("pressure", "chamber_pressure"),
+    "molding.pressure": ("pressure", "molding.pressure"),
+    "molding.max_deflection": ("length", "molding.max_deflection"),
+    "molding.safety_factor": ("none", "molding.safety_factor"),
+}
+
+# hole shape -> (constructor, its dimensions in argument order)
+_HOLE_SHAPES = {
+    "circle": (Hole.circle, ("diameter",)),
+    "square": (Hole.square, ("side",)),
+    "rectangle": (Hole.rectangle, ("width", "length")),
+}
+
+_HOLES_PATH_RE = re.compile(r"holes(?:\[(\d+)\])?\.(\w+)")
+
+
 @dataclass(frozen=True)
 class MoldingSpec:
     """Molding load and pass/fail limits for the sealed package."""
@@ -83,6 +125,14 @@ class MoldingSpec:
     max_deflection: float | None = None
     safety_factor: float = 1.0
     grid_n: int = 128
+
+    def __post_init__(self) -> None:
+        if not self.pressure >= 0.0:
+            raise ValueError("pressure must be >= 0")
+        if self.max_deflection is not None and not self.max_deflection > 0.0:
+            raise ValueError("max_deflection must be > 0")
+        if not self.safety_factor >= 1.0:
+            raise ValueError("safety_factor must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -95,14 +145,18 @@ class Recipe:
     sealing: str
     stack: PackageStack
     holes: tuple[Hole, ...]
-    etch: EtchParams
-    etch_max_time: float
-    coverage_pitch: float | None
-    probe_time: float | None
-    clog: ClogParams
-    max_deposition: float
-    chamber_pressure: float
-    molding: MoldingSpec
+    etch: EtchParams = DEFAULT_ETCH_PARAMS
+    etch_max_time: float = DEFAULT_TIME_CAP
+    coverage_pitch: float | None = None
+    probe_time: float | None = None
+    clog: ClogParams = ClogParams()
+    max_deposition: float = DEFAULT_MAX_DEPOSITION
+    chamber_pressure: float = DEFAULT_CHAMBER_PRESSURE
+    molding: MoldingSpec = MoldingSpec()
+
+    def __post_init__(self) -> None:
+        if not self.chamber_pressure >= 0.0:
+            raise ValueError("chamber_pressure must be >= 0")
 
     def material(self, role: str) -> Material:
         return self.materials[getattr(self, role)]
@@ -214,17 +268,53 @@ def _require(sections, section_lines, name: str):
     return sections[name]
 
 
-def _pop(entries: dict[str, _Entry], key: str, kind: str):
-    entry = entries.pop(key, None)
-    if entry is None:
-        return None
-    return parse_quantity(entry.value, kind, f"line {entry.lineno}: {key}")
-
-
 def _reject_unknown(entries: dict[str, _Entry], section: str) -> None:
     if entries:
         key, entry = next(iter(entries.items()))
         raise RecipeError(f"line {entry.lineno}: unknown key {key!r} in [{section}]")
+
+
+def _field_kind(path: str) -> str:
+    """Dimension of a numeric field path; rejects any other path."""
+    m = _HOLES_PATH_RE.fullmatch(path)
+    if m and any(m.group(2) in dims for _, dims in _HOLE_SHAPES.values()):
+        return "length"
+    if path in _FIELDS:
+        return _FIELDS[path][0]
+    raise RecipeError(f"{path!r} is not a numeric recipe field")
+
+
+def _resize_hole(hole: Hole, dim: str, value: float) -> Hole:
+    make, dims = _HOLE_SHAPES[hole.shape]
+    if dim not in dims:
+        raise RecipeError(f"{hole.shape} holes have no {dim!r} dimension")
+    sizes = dict(zip(dims, (hole.width, hole.length)))
+    sizes[dim] = value
+    return make(*sizes.values(), hole.center)
+
+
+def _set_field(recipe: Recipe, path: str, value: float, where: str) -> Recipe:
+    """Copy of ``recipe`` with the field at ``path`` set to ``value`` (SI).
+
+    Out-of-range values fail the owning dataclass's own checks and are
+    reported as ``RecipeError`` prefixed with ``where``.
+    """
+    _field_kind(path)
+    m = _HOLES_PATH_RE.fullmatch(path)
+    try:
+        if m:
+            index, dim = m.groups()
+            holes = list(recipe.holes)
+            for i in range(len(holes)) if index is None else [int(index)]:
+                if not 0 <= i < len(holes):
+                    raise RecipeError(f"hole index {i} out of range")
+                holes[i] = _resize_hole(holes[i], dim, value)
+            return replace(recipe, holes=tuple(holes))
+        outer, _, inner = _FIELDS[path][1].partition(".")
+        new = replace(getattr(recipe, outer), **{inner: value}) if inner else value
+        return replace(recipe, **{outer: new})
+    except ValueError as exc:
+        raise RecipeError(f"{where}: {exc}") from None
 
 
 def _parse_hole(entry: _Entry) -> Hole:
@@ -233,27 +323,23 @@ def _parse_hole(entry: _Entry) -> Hole:
     if not tokens:
         raise RecipeError(f"{where}: empty hole definition")
     shape, attr_tokens = tokens[0], tokens[1:]
-    required = {"circle": ("diameter",), "square": ("side",), "rectangle": ("width", "length")}
-    if shape not in required:
+    if shape not in _HOLE_SHAPES:
         raise RecipeError(f"{where}: unknown hole shape {shape!r}")
+    make, dims = _HOLE_SHAPES[shape]
     attrs: dict[str, float] = {}
     for token in attr_tokens:
         key, eq, value = token.partition("=")
-        if not eq or key not in required[shape] + ("x", "y"):
+        if not eq or key not in dims + ("x", "y"):
             raise RecipeError(f"{where}: bad hole attribute {token!r}")
         if key in attrs:
             raise RecipeError(f"{where}: duplicate hole attribute {key!r}")
         attrs[key] = parse_quantity(value, "length", f"{where}: {key}")
-    for key in required[shape]:
+    for key in dims:
         if key not in attrs:
             raise RecipeError(f"{where}: {shape} hole needs {key}=<length>")
     center = (attrs.get("x", 0.0), attrs.get("y", 0.0))
     try:
-        if shape == "circle":
-            return Hole.circle(attrs["diameter"], center)
-        if shape == "square":
-            return Hole.square(attrs["side"], center)
-        return Hole.rectangle(attrs["width"], attrs["length"], center)
+        return make(*(attrs[key] for key in dims), center)
     except ValueError as exc:
         raise RecipeError(f"{where}: {exc}") from None
 
@@ -291,9 +377,9 @@ def _build_materials(entries: dict[str, _Entry]):
             overrides.setdefault(mat_name, {})[field] = value
         else:
             raise RecipeError(f"{where}: unknown key {key!r} in [materials]")
-    for mat_name, fields in overrides.items():
+    for mat_name, props in overrides.items():
         try:
-            materials[mat_name] = materials[mat_name].with_overrides(**fields)
+            materials[mat_name] = materials[mat_name].with_overrides(**props)
         except ValueError as exc:
             raise RecipeError(f"material {mat_name!r}: {exc}") from None
     for role, mat_name in roles.items():
@@ -302,46 +388,27 @@ def _build_materials(entries: dict[str, _Entry]):
     return materials, roles
 
 
-def _build_etch(entries: dict[str, _Entry], base_dir: Path):
-    source = entries.pop("calibrate_from", None)
-    explicit = {
-        "intrinsic_rate": _pop(entries, "intrinsic_rate", "rate"),
-        "aperture_factor": _pop(entries, "aperture_factor", "length"),
-        "channel_factor": _pop(entries, "channel_factor", "none"),
-    }
-    explicit = {k: v for k, v in explicit.items() if v is not None}
-    if source is not None:
-        if explicit:
-            raise RecipeError(
-                f"line {source.lineno}: calibrate_from cannot be combined with "
-                "explicit etch parameters"
-            )
-        path = Path(source.value)
-        if not path.is_absolute():
-            path = base_dir / path
-        if not path.exists():
-            raise RecipeError(f"line {source.lineno}: calibration file {path} not found")
-        return calibrate_etch(load_observations(path)).params
-    try:
-        return replace(DEFAULT_ETCH_PARAMS, **explicit)
-    except ValueError as exc:
-        raise RecipeError(f"[release]: {exc}") from None
+def _calibrated_etch(source: _Entry, release: dict[str, _Entry], base_dir: Path):
+    if {f.name for f in fields(EtchParams)} & release.keys():
+        raise RecipeError(
+            f"line {source.lineno}: calibrate_from cannot be combined with "
+            "explicit etch parameters"
+        )
+    path = Path(source.value)
+    if not path.is_absolute():
+        path = base_dir / path
+    if not path.exists():
+        raise RecipeError(f"line {source.lineno}: calibration file {path} not found")
+    return calibrate_etch(load_observations(path)).params
 
 
-def _build_clog(entries: dict[str, _Entry]) -> ClogParams:
-    fields = {
-        "closure_per_side": _pop(entries, "closure_per_side", "closure"),
-        "reference_sticking": _pop(entries, "reference_sticking", "none"),
-        "knee_ratio": _pop(entries, "knee_ratio", "none"),
-        "floor_attenuation": _pop(entries, "floor_attenuation", "none"),
-        "residue_fraction": _pop(entries, "residue_fraction", "none"),
-        "residue_spread": _pop(entries, "residue_spread", "none"),
-    }
-    fields = {k: v for k, v in fields.items() if v is not None}
+def _parse_grid_n(entry: _Entry | None) -> int:
+    if entry is None:
+        return MoldingSpec.grid_n
     try:
-        return replace(ClogParams(), **fields)
-    except ValueError as exc:
-        raise RecipeError(f"[clogging]: {exc}") from None
+        return int(entry.value)
+    except ValueError:
+        raise RecipeError(f"line {entry.lineno}: grid_n must be an integer") from None
 
 
 def parse_recipe(text: str, *, base_dir: "Path | str | None" = None) -> Recipe:
@@ -364,12 +431,12 @@ def parse_recipe(text: str, *, base_dir: "Path | str | None" = None) -> Recipe:
     footprint = _parse_footprint(footprint_entry)
     thicknesses = {}
     for key in ("sacrificial_thickness", "cap_thickness", "clog_deposition"):
-        value = _pop(stack_entries, key, "length")
-        if value is None:
+        entry = stack_entries.pop(key, None)
+        if entry is None:
             raise RecipeError(
                 f"line {section_lines['stack']}: [stack] is missing required key {key!r}"
             )
-        thicknesses[key] = value
+        thicknesses[key] = parse_quantity(entry.value, "length", f"line {entry.lineno}: {key}")
     _reject_unknown(stack_entries, "stack")
     try:
         stack = PackageStack(cavity_footprint=footprint, **thicknesses)
@@ -389,63 +456,32 @@ def parse_recipe(text: str, *, base_dir: "Path | str | None" = None) -> Recipe:
     except ValueError as exc:
         raise RecipeError(str(exc)) from None
 
-    release_entries = dict(sections.get("release", {}))
-    etch = _build_etch(release_entries, base)
-    max_time = _pop(release_entries, "max_time", "time")
-    coverage_pitch = _pop(release_entries, "coverage_pitch", "length")
-    probe_time = _pop(release_entries, "probe_time", "time")
-    _reject_unknown(release_entries, "release")
-
-    clog_entries = dict(sections.get("clogging", {}))
-    chamber = _pop(clog_entries, "chamber_pressure", "pressure")
-    max_deposition = _pop(clog_entries, "max_deposition", "length")
-    clog = _build_clog(clog_entries)
-    _reject_unknown(clog_entries, "clogging")
-
-    molding_entries = dict(sections.get("molding", {}))
-    pressure = _pop(molding_entries, "pressure", "pressure")
-    max_deflection = _pop(molding_entries, "max_deflection", "length")
-    safety = _pop(molding_entries, "safety_factor", "none")
-    grid_entry = molding_entries.pop("grid_n", None)
-    if grid_entry is not None:
-        try:
-            grid_n = int(grid_entry.value)
-        except ValueError:
-            raise RecipeError(
-                f"line {grid_entry.lineno}: grid_n must be an integer"
-            ) from None
-    else:
-        grid_n = 128
-    _reject_unknown(molding_entries, "molding")
-    if pressure is not None and pressure < 0.0:
-        raise RecipeError("[molding]: pressure must be >= 0")
-    if safety is not None and safety < 1.0:
-        raise RecipeError("[molding]: safety_factor must be >= 1")
-    molding = MoldingSpec(
-        pressure=pressure if pressure is not None else DEFAULT_MOLDING_PRESSURE,
-        max_deflection=max_deflection,
-        safety_factor=safety if safety is not None else 1.0,
-        grid_n=grid_n,
-    )
-
-    return Recipe(
+    release = dict(sections.get("release", {}))
+    source = release.pop("calibrate_from", None)
+    molding = dict(sections.get("molding", {}))
+    recipe = Recipe(
         materials=materials,
         sacrificial=roles["sacrificial"],
         structural=roles["structural"],
         sealing=roles["sealing"],
         stack=stack,
         holes=holes,
-        etch=etch,
-        etch_max_time=max_time if max_time is not None else DEFAULT_TIME_CAP,
-        coverage_pitch=coverage_pitch,
-        probe_time=probe_time,
-        clog=clog,
-        max_deposition=(
-            max_deposition if max_deposition is not None else DEFAULT_MAX_DEPOSITION
-        ),
-        chamber_pressure=chamber if chamber is not None else DEFAULT_CHAMBER_PRESSURE,
-        molding=molding,
+        etch=DEFAULT_ETCH_PARAMS if source is None else _calibrated_etch(source, release, base),
+        molding=MoldingSpec(grid_n=_parse_grid_n(molding.pop("grid_n", None))),
     )
+    for section, entries in (
+        ("release", release),
+        ("clogging", sections.get("clogging", {})),
+        ("molding", molding),
+    ):
+        for key, entry in entries.items():
+            path = f"{section}.{key}"
+            if path not in _FIELDS:
+                raise RecipeError(f"line {entry.lineno}: unknown key {key!r} in [{section}]")
+            where = f"line {entry.lineno}: {key}"
+            value = parse_quantity(entry.value, _FIELDS[path][0], where)
+            recipe = _set_field(recipe, path, value, where)
+    return recipe
 
 
 def load_recipe(path: "Path | str") -> Recipe:

@@ -121,14 +121,24 @@ def _front(params, feed_resistance, h_s, duration, u0=0.0):
     ``2 rhs / (p + sqrt(p^2 + 2 b rhs))`` so that it neither cancels for
     small ``b rhs`` nor needs a branch at ``b = 0``. Works on floats and
     numpy arrays alike (``feed_resistance`` and ``u0`` may be arrays); the
-    float path returns a float.
+    float path returns a float. Raises ``ValueError`` when the inputs are
+    so extreme that ``2 rhs`` or the discriminant overflows; a finite
+    pair gives a finite front.
     """
     p = 1.0 + feed_resistance
     b = params.channel_factor / h_s
     rhs = params.intrinsic_rate * duration + p * u0 + 0.5 * b * u0 * u0
     disc = p * p + 2.0 * b * rhs
-    root = np.sqrt(disc) if isinstance(disc, np.ndarray) else math.sqrt(disc)
-    return 2.0 * rhs / (p + root)
+    num = 2.0 * rhs
+    if isinstance(disc, np.ndarray):
+        finite = np.isfinite(num).all() and np.isfinite(disc).all()
+        root = np.sqrt(disc)
+    else:
+        finite = math.isfinite(num) and math.isfinite(disc)
+        root = math.sqrt(disc)
+    if not finite:
+        raise ValueError("etch front overflows: etch rate or time is too large")
+    return num / (p + root)
 
 
 def underetch(

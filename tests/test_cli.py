@@ -109,6 +109,17 @@ class TestSimulate:
         assert math.isfinite(probe) and probe > 0.0
         assert sum(spent) < 0.1
 
+    def test_etch_front_overflow_exits_two(self, tmp_path, capsys):
+        text = FAST_RECIPE.replace(
+            "probe_time = 2min", "probe_time = 1e300min\nintrinsic_rate = 1e300um/min"
+        )
+        path = tmp_path / "overflow.recipe"
+        path.write_text(text)
+        assert main(["simulate", str(path), "--format", "tabular"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "etch front overflows" in err
+
     def test_uncloggable_exits_three(self, tmp_path, capsys):
         text = FAST_RECIPE.replace(
             "hole = circle diameter=2um", "hole = circle diameter=2um\nhole = circle diameter=4um"
@@ -176,6 +187,50 @@ class TestSweep:
         assert serial == threaded
 
 
+# (sweep path, sweep value, the same value as a recipe line, message)
+OUT_OF_RANGE = [
+    (
+        "clogging.chamber_pressure",
+        "-1mbar",
+        FAST_RECIPE + "\n[clogging]\nchamber_pressure = -1mbar\n",
+        "chamber_pressure must be >= 0",
+    ),
+    (
+        "molding.max_deflection",
+        "-1nm",
+        FAST_RECIPE.replace("max_deflection = 100nm", "max_deflection = -1nm"),
+        "max_deflection must be > 0",
+    ),
+    (
+        "molding.safety_factor",
+        "0.5",
+        FAST_RECIPE.replace("safety_factor = 1", "safety_factor = 0.5"),
+        "safety_factor must be >= 1",
+    ),
+]
+
+
+class TestOutOfRangeValues:
+    @pytest.mark.parametrize(
+        "path, value, text, message", OUT_OF_RANGE, ids=[case[0] for case in OUT_OF_RANGE]
+    )
+    def test_recipe_line_exits_two(self, tmp_path, capsys, path, value, text, message):
+        recipe = tmp_path / "bad.recipe"
+        recipe.write_text(text)
+        assert main(["simulate", str(recipe)]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, value, text, message", OUT_OF_RANGE, ids=[case[0] for case in OUT_OF_RANGE]
+    )
+    def test_sweep_value_exits_two(self, fast_recipe_file, capsys, path, value, text, message):
+        code = main(["sweep", str(fast_recipe_file), "--param", path, f"--values={value}"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{path} = " in err and message in err
+
+
 class TestCalibrate:
     def test_text_output(self, obs_file, capsys):
         assert main(["calibrate-etch", str(obs_file)]) == 0
@@ -207,6 +262,17 @@ class TestCheckMolding:
         assert main(["check-molding", str(fast_recipe_file), "--format", "tabular"]) == 0
         parsed = parse_tabular_report(capsys.readouterr().out)
         assert parsed["passed"][1] == 1.0
+
+    def test_cells_match_simulate(self, fast_recipe_file, capsys):
+        # both commands run the one molding stage of the pipeline
+        assert main(["check-molding", str(fast_recipe_file), "--format", "tabular"]) == 0
+        molding = capsys.readouterr().out.splitlines()
+        assert main(["simulate", str(fast_recipe_file), "--format", "tabular"]) == 0
+        simulate = capsys.readouterr().out.splitlines()
+        shared = ("molding_deflection,", "molding_stress,", "check_deflection,", "check_stress,")
+        picked = [line for line in molding if line.startswith(shared)]
+        assert len(picked) == 4
+        assert picked == [line for line in simulate if line.startswith(shared)]
 
     def test_failing_limit_exits_one(self, tmp_path):
         text = FAST_RECIPE.replace("max_deflection = 100nm", "max_deflection = 0.001nm")

@@ -131,7 +131,7 @@ class TestThicknessToClog:
     def test_matches_linear_closed_form(self, sio2):
         t = thickness_to_clog(PRODUCTION, CAP, sio2, PARAMS)
         closed = PRODUCTION.width / closure_rate(PRODUCTION.width, CAP, sio2, PARAMS)
-        assert abs(t - closed) <= 1.01 * NM
+        assert abs(t - closed) <= math.ulp(closed)
 
     def test_aperture_is_exactly_zero_at_result(self, sio2):
         t = thickness_to_clog(Hole.circle(3 * UM), CAP, sio2, PARAMS)

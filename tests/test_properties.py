@@ -290,6 +290,17 @@ class TestClosureProperties:
         seal = thickness_to_clog(hole, cap, SIO2, params, max_deposition=50 * UM)
         assert aperture_after(hole, cap, seal + extra * UM, SIO2, params) == 0.0
 
+    @given(setting=clog_settings())
+    def test_clog_thickness_is_the_first_sealed_float(self, setting):
+        # a0 / rate lands an ulp either side of the seal about one time in
+        # eight; the result is the smallest float that closes the hole
+        hole, cap, params = setting
+        seal = thickness_to_clog(hole, cap, SIO2, params, max_deposition=50 * UM)
+        assert aperture_after(hole, cap, seal, SIO2, params) == 0.0
+        assert aperture_after(hole, cap, math.nextafter(seal, 0.0), SIO2, params) > 0.0
+        closed = hole.width / closure_rate(hole.width, cap, SIO2, params)
+        assert abs(seal - closed) <= math.ulp(closed)
+
     @given(setting=clog_settings(), depth_scale=st.floats(min_value=1.05, max_value=4.0))
     def test_deeper_holes_close_no_faster(self, setting, depth_scale):
         hole, cap, params = setting

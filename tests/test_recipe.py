@@ -1,8 +1,12 @@
+import re
+
 import pytest
 
 from zeropack.clogging import ClogParams
 from zeropack.errors import RecipeError
+from zeropack.pipeline import param_kind, set_param
 from zeropack.recipe import (
+    _FIELDS,
     DEFAULT_CHAMBER_PRESSURE,
     DEFAULT_MOLDING_PRESSURE,
     load_recipe,
@@ -303,3 +307,96 @@ def test_reference_recipe_parses(reference_recipe):
     assert reference_recipe.stack.cap_thickness == 2e-6
     assert reference_recipe.molding.max_deflection == 25 * NM
     assert reference_recipe.chamber_pressure == pytest.approx(5e-7 * MBAR)
+
+
+# every numeric field of the table: (an in-range value, an out-of-range
+# value or None where the range is checked only by the stage using it)
+FIELD_VALUES = {
+    "stack.sacrificial_thickness": ("3um", "0um"),
+    "stack.cap_thickness": ("2.5um", "-1um"),
+    "stack.clog_deposition": ("3um", "0nm"),
+    "release.intrinsic_rate": ("2um/min", "0um/min"),
+    "release.aperture_factor": ("30um", "-1um"),
+    "release.channel_factor": ("0.5", "-0.1"),
+    "release.max_time": ("60min", None),
+    "release.coverage_pitch": ("0.2um", None),
+    "release.probe_time": ("2min", None),
+    "clogging.closure_per_side": ("0.9um/um", "0"),
+    "clogging.reference_sticking": ("0.3", "1.5"),
+    "clogging.knee_ratio": ("1.8", "0"),
+    "clogging.floor_attenuation": ("0.3", "1"),
+    "clogging.residue_fraction": ("0.1", "-0.1"),
+    "clogging.residue_spread": ("2", "-1"),
+    "clogging.max_deposition": ("6um", None),
+    "clogging.chamber_pressure": ("1e-6mbar", "-1mbar"),
+    "molding.pressure": ("50bar", "-1MPa"),
+    "molding.max_deflection": ("25nm", "-1nm"),
+    "molding.safety_factor": ("2", "0.5"),
+}
+
+
+def with_line(path, token):
+    """MINIMAL with ``path`` written as a recipe line."""
+    section, key = path.split(".")
+    if section == "stack":
+        return re.sub(rf"^{key} = .*$", f"{key} = {token}", MINIMAL, flags=re.M)
+    return MINIMAL + f"\n[{section}]\n{key} = {token}\n"
+
+
+def swept(path, token):
+    """MINIMAL with ``path`` set the way ``zeropack sweep`` sets it."""
+    value = parse_quantity(token, param_kind(path), f"--values entry {token!r}")
+    return set_param(parse_recipe(MINIMAL), path, value)
+
+
+class TestRecipeLinesAndSweepsAgree:
+    def test_table_covers_every_field(self):
+        assert set(FIELD_VALUES) == set(_FIELDS)
+
+    @pytest.mark.parametrize("path", sorted(FIELD_VALUES))
+    def test_recipe_line_equals_set_param(self, path):
+        token = FIELD_VALUES[path][0]
+        parsed = parse_recipe(with_line(path, token))
+        assert parsed != parse_recipe(MINIMAL)
+        assert parsed == swept(path, token)
+
+    @pytest.mark.parametrize(
+        "path", sorted(path for path, (_, bad) in FIELD_VALUES.items() if bad is not None)
+    )
+    def test_out_of_range_rejected_on_both_routes(self, path):
+        bad = FIELD_VALUES[path][1]
+        with pytest.raises(RecipeError):
+            parse_recipe(with_line(path, bad))
+        with pytest.raises(RecipeError):
+            swept(path, bad)
+
+    @pytest.mark.parametrize(
+        "hole, path, token, resized",
+        [
+            ("circle diameter=1.5um", "holes.diameter", "2um", "circle diameter=2um"),
+            ("square side=1.5um x=1um", "holes[0].side", "2um", "square side=2um x=1um"),
+            (
+                "rectangle width=1um length=3um",
+                "holes.length",
+                "4um",
+                "rectangle width=1um length=4um",
+            ),
+            (
+                "rectangle width=1um length=3um",
+                "holes.width",
+                "5um",
+                "rectangle width=5um length=3um",
+            ),
+        ],
+    )
+    def test_hole_dimension_equals_hole_line(self, hole, path, token, resized):
+        base = MINIMAL.replace("circle diameter=1.5um", hole)
+        value = parse_quantity(token, param_kind(path), token)
+        assert set_param(parse_recipe(base), path, value) == parse_recipe(
+            MINIMAL.replace("circle diameter=1.5um", resized)
+        )
+
+    def test_line_number_and_key_prefix_range_errors(self):
+        text = MINIMAL + "\n[molding]\npressure = 10MPa\nsafety_factor = 0.5\n"
+        with pytest.raises(RecipeError, match="^line 12: safety_factor: safety_factor must be >= 1$"):
+            parse_recipe(text)

@@ -114,6 +114,22 @@ class TestUnderetch:
         fronts = release_mod._front(PARAMS, feed, h_s, t_min * MINUTE)
         assert fronts.tolist() == [underetch(h, stack, PARAMS, t_min * MINUTE) for h in holes]
 
+    @pytest.mark.parametrize(
+        "params, duration",
+        [
+            (EtchParams(1e300, 0.0, 0.32), 1e4),  # only the discriminant overflows
+            (EtchParams(1e300, 0.0, 0.32), 1e300),  # rhs overflows too
+            (EtchParams(1e300, 0.0, 0.0), 1e300),  # rhs overflows with b = 0
+            (EtchParams(1e300, 0.0, 0.0), 1.5e8),  # only 2 rhs overflows
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_overflow_is_an_error_not_a_front(self, params, duration):
+        with pytest.raises(ValueError, match="overflows"):
+            release_mod._front(params, 0.0, 1 * UM, duration)
+        with pytest.raises(ValueError, match="overflows"):
+            release_mod._front(params, np.array([0.0, 1.0]), 1 * UM, duration)
+
 
 class TestCalibration:
     def synthetic_observations(self, params, noise=0.0):
