@@ -30,7 +30,15 @@ from .errors import (
 )
 from .mechanics import dump_deflection
 from .mechanics import solve_plate  # noqa: F401 - perfbench's tracer wraps cli.solve_plate
-from .pipeline import _molding, emit_report, emit_sweep, param_kind, run_recipe, sweep
+from .pipeline import (
+    TABULAR_HEADER,
+    _molding,
+    emit_report,
+    emit_sweep,
+    param_kind,
+    run_recipe,
+    sweep,
+)
 from .recipe import load_recipe, parse_quantity
 from .release import calibrate_etch, load_observations
 from .units import MINUTE, MPA, NM, UM
@@ -122,7 +130,7 @@ def _cmd_calibrate(args) -> int:
     if args.format == "tabular":
         text = "\n".join(
             [
-                "field,units,value",
+                TABULAR_HEADER,
                 f"intrinsic_rate,um/min,{p.intrinsic_rate / UM * MINUTE:.6g}",
                 f"aperture_factor,um,{p.aperture_factor / UM:.6g}",
                 f"channel_factor,-,{p.channel_factor:.6g}",
@@ -150,7 +158,7 @@ def _cmd_check_molding(args) -> int:
     if args.format == "tabular":
         text = "\n".join(
             [
-                "field,units,value",
+                TABULAR_HEADER,
                 f"molding_deflection,nm,{solution.w_max / NM:.6g}",
                 f"molding_stress,MPa,{solution.sigma_max / MPA:.6g}",
                 *(f"check_{name},-,{int(ok)}" for name, ok in checks.items()),

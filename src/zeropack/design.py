@@ -2,15 +2,17 @@
 
 Finds the thinnest cap that survives molding (deflection and stress
 limits both enforced), and converts a cap thickness between materials at
-equal deflection or equal stress margin. Deflection and stress are
-monotone decreasing in thickness, so both searches bracket cleanly.
+equal deflection or equal stress margin. At fixed sides, load and
+material the plate scales exactly with thickness: deflection is ``q/D``
+times the cached unit solution with ``D ~ t^3``, and stress is
+``6 M / t^2`` with ``M`` independent of ``D``, so ``w_max ~ t^-3`` and
+``sigma_max ~ t^-2``. One solve thus gives both at every thickness.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-from scipy.optimize import brentq
 
 from .errors import DesignError
 from .geometry import Material
@@ -63,8 +65,7 @@ def _evaluate(material: Material, thickness: float, constraints: DesignConstrain
     return sol.w_max, sol.sigma_max
 
 
-def _violations(material, thickness, constraints, grid_n):
-    w_max, sigma_max = _evaluate(material, thickness, constraints, grid_n)
+def _violations(material, w_max, sigma_max, constraints):
     out = []
     if w_max > constraints.max_deflection:
         out.append(
@@ -84,11 +85,13 @@ def min_cap_thickness(
 ) -> float:
     """Smallest cap thickness meeting both molding constraints.
 
-    Bisects the 10 nm lattice ``t_min + k * step`` on the monotone
-    feasibility predicate, solved on the verification grid (128), then
-    steps to the first feasible point whose predecessor is infeasible, so
-    the result equals an exhaustive scan of the same lattice on that
-    grid. Every solve shares one cached factorisation per geometry.
+    One solve at ``thickness_max`` on the verification grid (128) gives
+    the thickness at which each limit is met exactly, through the
+    ``t^-3`` and ``t^-2`` scaling; the lattice ``t_min + k * step`` is
+    entered at the point above it, then stepped to the first feasible
+    point whose predecessor is infeasible, so the result equals an
+    exhaustive scan of the same lattice on that grid. Every solve shares
+    one cached factorisation per geometry.
     """
     c = constraints
     last = int((c.thickness_max - c.thickness_min) / step)
@@ -97,27 +100,23 @@ def min_cap_thickness(
         return c.thickness_min + k * step
 
     def feasible(k: int) -> bool:
-        return not _violations(material, t_at(k), c, VERIFY_GRID_N)
+        w_max, sigma_max = _evaluate(material, t_at(k), c, VERIFY_GRID_N)
+        return not _violations(material, w_max, sigma_max, c)
 
-    problems = _violations(material, c.thickness_max, c, VERIFY_GRID_N)
+    w_max, sigma_max = _evaluate(material, c.thickness_max, c, VERIFY_GRID_N)
+    problems = _violations(material, w_max, sigma_max, c)
     if problems:
         raise DesignError(
             "no feasible thickness up to "
             f"{c.thickness_max / UM:g} um: " + "; ".join(problems)
         )
 
-    lo, hi = 0, last  # invariant: lo infeasible, hi feasible or last
-    if feasible(0):
-        hi = 0
-    else:
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if feasible(mid):
-                hi = mid
-            else:
-                lo = mid
+    stress_limit = material.failure_stress / c.safety_factor
+    t_need = c.thickness_max * max(
+        (w_max / c.max_deflection) ** (1.0 / 3.0), (sigma_max / stress_limit) ** 0.5
+    )
+    k = min(max(math.ceil((t_need - c.thickness_min) / step), 0), last)
     # settle on the lattice point an exhaustive scan would stop at
-    k = hi
     while k <= last and not feasible(k):
         k += 1
     while k > 0 and feasible(k - 1):
@@ -138,8 +137,11 @@ def equivalent_thickness(
 
     ``match="deflection"`` equates peak deflection; ``match="stress"``
     equates the stress safety margin (peak stress over failure stress).
-    Root-found within the constraint thickness bounds; with equal Poisson
-    ratios the deflection match reduces to t_b = t_a * (E_a/E_b)^(1/3).
+    Both materials are solved at ``thickness_a`` and the ratio of the
+    two metrics is scaled by its exact thickness law (cube root for
+    deflection, square root for stress), so the deflection match equals
+    t_b = t_a * (D_a/D_b)^(1/3) for the rigidities at equal thickness.
+    The result must lie within the constraint thickness bounds.
     """
     if not thickness_a > 0.0:
         raise ValueError("thickness_a must be > 0")
@@ -147,29 +149,18 @@ def equivalent_thickness(
         raise ValueError("match must be 'deflection' or 'stress'")
     c = constraints
 
+    (w_a, sigma_a), (w_b, sigma_b) = (
+        _evaluate(m, thickness_a, c, grid_n) for m in (material_a, material_b)
+    )
     if match == "deflection":
-        def metric(material, t):
-            return _evaluate(material, t, c, grid_n)[0]
+        t_b = thickness_a * (w_b / w_a) ** (1.0 / 3.0)
     else:
-        def metric(material, t):
-            return _evaluate(material, t, c, grid_n)[1] / material.failure_stress
-
-    if (
-        material_b.youngs_modulus == material_a.youngs_modulus
-        and material_b.poisson_ratio == material_a.poisson_ratio
-        and (match == "deflection" or material_b.failure_stress == material_a.failure_stress)
-    ):
-        return thickness_a
-
-    target = metric(material_a, thickness_a)
-
-    def gap(t: float) -> float:
-        return metric(material_b, t) - target
-
-    g_lo, g_hi = gap(c.thickness_min), gap(c.thickness_max)
-    if g_lo * g_hi > 0.0:
+        margin_a = sigma_a / material_a.failure_stress
+        margin_b = sigma_b / material_b.failure_stress
+        t_b = thickness_a * (margin_b / margin_a) ** 0.5
+    if not c.thickness_min <= t_b <= c.thickness_max:
         raise DesignError(
             "equivalent thickness falls outside "
             f"[{c.thickness_min / UM:g}, {c.thickness_max / UM:g}] um"
         )
-    return float(brentq(gap, c.thickness_min, c.thickness_max, xtol=1e-13))
+    return t_b

@@ -246,6 +246,15 @@ def _front_distance(hole: Hole, reach: float, px: np.ndarray, py: np.ndarray) ->
 _SUBSAMPLE = 16
 
 
+def _raster_shape(footprint: Rect, grid_pitch: float) -> tuple[int, int]:
+    """Columns and rows of the coverage raster: the fewest equal cells
+    per axis no wider than ``grid_pitch``."""
+    return (
+        max(1, math.ceil(footprint.width / grid_pitch)),
+        max(1, math.ceil(footprint.length / grid_pitch)),
+    )
+
+
 def release_coverage(
     footprint: Rect,
     holes: list[Hole] | tuple[Hole, ...],
@@ -313,8 +322,7 @@ def _coverage(
     if np.any(u < 0.0):
         raise ValueError("underetch distances must be >= 0")
 
-    nx = max(1, math.ceil(footprint.width / grid_pitch))
-    ny = max(1, math.ceil(footprint.length / grid_pitch))
+    nx, ny = _raster_shape(footprint, grid_pitch)
     px = footprint.width / nx
     py = footprint.length / ny
     # Coordinates relative to the footprint corner so rigid translations

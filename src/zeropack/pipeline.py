@@ -197,13 +197,14 @@ def sweep(
 
     Rows are independent and returned in input order regardless of
     ``max_workers``; ``labels`` (default ``%.6g`` of each value) become
-    the first column of the emitted table.
+    the first column of the emitted table and name a rejected value in
+    its error.
     """
     if labels is None:
         labels = [f"{v:.6g}" for v in values]
     if len(labels) != len(values):
         raise ValueError("labels must match values")
-    recipes = [set_param(recipe, path, v) for v in values]
+    recipes = [_set_field(recipe, path, v, f"{path} = {lb}") for v, lb in zip(values, labels)]
     if max_workers is not None and max_workers > 1 and len(recipes) > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             reports = list(pool.map(run_recipe, recipes))

@@ -29,6 +29,11 @@ both go through ``_set_field``, so they accept and reject the same
 values; a rejected line is reported as ``line N: key: reason``.
 ``grid_n`` (an integer), ``footprint``, ``calibrate_from``, the
 required [stack] keys and [materials] are parsed by hand.
+
+Values that would drive unbounded work are rejected in the same
+dataclass checks: ``grid_n`` lies in ``[MIN_GRID_N, MAX_GRID_N]`` and
+the release raster, counted from ``coverage_pitch`` or the default
+pitch of the holes, has at most ``MAX_RASTER_CELLS`` cells.
 """
 
 from __future__ import annotations
@@ -45,9 +50,12 @@ from .geometry import (
     Material,
     PackageStack,
     Rect,
+    _raster_shape,
+    default_coverage_pitch,
     standard_materials,
     validate_hole_layout,
 )
+from .mechanics import MIN_GRID_N
 from .release import (
     DEFAULT_ETCH_PARAMS,
     DEFAULT_TIME_CAP,
@@ -59,6 +67,12 @@ from .units import BAR, GPA, MBAR, MINUTE, MM, MPA, NM, SECOND, UM
 
 DEFAULT_CHAMBER_PRESSURE = 5e-7 * MBAR
 DEFAULT_MOLDING_PRESSURE = 10.0 * MPA
+
+# Resource bounds: a cold plate solve at grid_n = 256 takes about 3 s
+# and 360 MB, the release search on 2048^2 raster cells about 4 s and
+# 180 MB (the reference recipe: 128 and 160^2).
+MAX_GRID_N = 256
+MAX_RASTER_CELLS = 2**22
 
 _LENGTH_UNITS = {"nm": NM, "um": UM, "mm": MM}
 _TIME_UNITS = {"s": SECOND, "min": MINUTE}
@@ -133,6 +147,8 @@ class MoldingSpec:
             raise ValueError("max_deflection must be > 0")
         if not self.safety_factor >= 1.0:
             raise ValueError("safety_factor must be >= 1")
+        if not MIN_GRID_N <= self.grid_n <= MAX_GRID_N:
+            raise ValueError(f"grid_n must lie in [{MIN_GRID_N}, {MAX_GRID_N}]")
 
 
 @dataclass(frozen=True)
@@ -157,6 +173,21 @@ class Recipe:
     def __post_init__(self) -> None:
         if not self.chamber_pressure >= 0.0:
             raise ValueError("chamber_pressure must be >= 0")
+        pitch = self.coverage_pitch
+        if pitch is None:
+            pitch = default_coverage_pitch(self.holes)
+        if not pitch > 0.0:
+            raise ValueError("coverage_pitch must be > 0")
+        footprint = self.stack.cavity_footprint
+        # per axis first, so that a tiny pitch cannot overflow the count
+        if (
+            max(footprint.width, footprint.length) / pitch > MAX_RASTER_CELLS
+            or math.prod(_raster_shape(footprint, pitch)) > MAX_RASTER_CELLS
+        ):
+            raise ValueError(
+                f"coverage pitch {pitch / NM:g} nm makes a release raster of more "
+                f"than {MAX_RASTER_CELLS} cells; set a coarser coverage_pitch"
+            )
 
     def material(self, role: str) -> Material:
         return self.materials[getattr(self, role)]
@@ -402,13 +433,19 @@ def _calibrated_etch(source: _Entry, release: dict[str, _Entry], base_dir: Path)
     return calibrate_etch(load_observations(path)).params
 
 
-def _parse_grid_n(entry: _Entry | None) -> int:
+def _molding_grid(entry: _Entry | None) -> MoldingSpec:
+    """Default molding settings with the recipe's ``grid_n``, if any."""
     if entry is None:
-        return MoldingSpec.grid_n
+        return MoldingSpec()
+    where = f"line {entry.lineno}: grid_n"
     try:
-        return int(entry.value)
+        grid_n = int(entry.value)
     except ValueError:
-        raise RecipeError(f"line {entry.lineno}: grid_n must be an integer") from None
+        raise RecipeError(f"{where} must be an integer") from None
+    try:
+        return MoldingSpec(grid_n=grid_n)
+    except ValueError as exc:
+        raise RecipeError(f"{where}: {exc}") from None
 
 
 def parse_recipe(text: str, *, base_dir: "Path | str | None" = None) -> Recipe:
@@ -459,16 +496,27 @@ def parse_recipe(text: str, *, base_dir: "Path | str | None" = None) -> Recipe:
     release = dict(sections.get("release", {}))
     source = release.pop("calibrate_from", None)
     molding = dict(sections.get("molding", {}))
-    recipe = Recipe(
-        materials=materials,
-        sacrificial=roles["sacrificial"],
-        structural=roles["structural"],
-        sealing=roles["sealing"],
-        stack=stack,
-        holes=holes,
-        etch=DEFAULT_ETCH_PARAMS if source is None else _calibrated_etch(source, release, base),
-        molding=MoldingSpec(grid_n=_parse_grid_n(molding.pop("grid_n", None))),
-    )
+    etch = DEFAULT_ETCH_PARAMS if source is None else _calibrated_etch(source, release, base)
+    grid = _molding_grid(molding.pop("grid_n", None))
+    # the raster bound depends on the holes and the pitch together, so
+    # both are in place before the first check
+    pitch_entry = release.pop("coverage_pitch", None)
+    where = "[holes]" if pitch_entry is None else f"line {pitch_entry.lineno}: coverage_pitch"
+    pitch = None if pitch_entry is None else parse_quantity(pitch_entry.value, "length", where)
+    try:
+        recipe = Recipe(
+            materials=materials,
+            sacrificial=roles["sacrificial"],
+            structural=roles["structural"],
+            sealing=roles["sealing"],
+            stack=stack,
+            holes=holes,
+            etch=etch,
+            coverage_pitch=pitch,
+            molding=grid,
+        )
+    except ValueError as exc:
+        raise RecipeError(f"{where}: {exc}") from None
     for section, entries in (
         ("release", release),
         ("clogging", sections.get("clogging", {})),

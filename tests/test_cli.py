@@ -228,7 +228,39 @@ class TestOutOfRangeValues:
         assert code == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert f"{path} = " in err and message in err
+        # the rejected value is named as the user wrote it, not in SI
+        assert f"{path} = {value}: " in err and message in err
+
+
+class TestResourceBounds:
+    # each value would build a raster or a plate system far beyond the
+    # bounds; it must be rejected before any of that work starts
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("grid_n = 32", "grid_n = 100000", "grid_n must lie in [16, 256]"),
+            ("probe_time = 2min", "coverage_pitch = 1nm", "coverage_pitch"),
+            ("diameter=2um", "diameter=1nm", "coverage_pitch"),
+        ],
+        ids=["grid_n", "coverage_pitch", "hole"],
+    )
+    def test_recipe_line_exits_two_at_once(self, tmp_path, capsys, old, new, message):
+        recipe = tmp_path / "huge.recipe"
+        recipe.write_text(FAST_RECIPE.replace(old, new))
+        start = time.perf_counter()
+        assert main(["simulate", str(recipe)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", ["release.coverage_pitch", "holes.diameter"])
+    def test_sweep_value_exits_two_at_once(self, capsys, path):
+        start = time.perf_counter()
+        code = main(["sweep", str(REFERENCE_RECIPE), "--param", path, "--values", "1nm"])
+        assert code == 2
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{path} = 1nm: " in err and "raster" in err
 
 
 class TestCalibrate:

@@ -1,5 +1,6 @@
 import pytest
 
+from zeropack import design
 from zeropack.design import (
     THICKNESS_STEP,
     VERIFY_GRID_N,
@@ -144,7 +145,7 @@ class TestEquivalentThickness:
         nit = nitride.with_overrides(poisson_ratio=lto.poisson_ratio)
         t = equivalent_thickness(lto, 4.5 * UM, nit, molding_constraints())
         closed = 4.5 * UM * (lto.youngs_modulus / nit.youngs_modulus) ** (1.0 / 3.0)
-        assert t == pytest.approx(closed, rel=0.005)
+        assert t == pytest.approx(closed, rel=1e-12)
 
     def test_general_rigidity_matching(self, lto, nitride):
         t = equivalent_thickness(lto, 4.5 * UM, nitride, molding_constraints())
@@ -152,7 +153,7 @@ class TestEquivalentThickness:
             (lto.youngs_modulus / (1 - lto.poisson_ratio**2))
             / (nitride.youngs_modulus / (1 - nitride.poisson_ratio**2))
         ) ** (1.0 / 3.0)
-        assert t == pytest.approx(closed, rel=0.005)
+        assert t == pytest.approx(closed, rel=1e-12)
 
     def test_involution(self, lto, nitride):
         c = molding_constraints()
@@ -167,12 +168,15 @@ class TestEquivalentThickness:
             lto, 4.5 * UM, nitride, molding_constraints(), match="stress"
         )
         closed = 4.5 * UM * (lto.failure_stress / nitride.failure_stress) ** 0.5
-        assert t == pytest.approx(closed, rel=0.005)
+        assert t == pytest.approx(closed, rel=1e-12)
 
     def test_out_of_bounds_rejected(self, lto, nitride):
         c = molding_constraints(thickness_min=4 * UM, thickness_max=10 * UM)
         with pytest.raises(DesignError, match="outside"):
             equivalent_thickness(lto, 4.5 * UM, nitride, c)
+        # the same material maps a thickness to itself, inside the bounds only
+        with pytest.raises(DesignError, match="outside"):
+            equivalent_thickness(lto, 3 * UM, lto, c)
 
     def test_bad_mode_rejected(self, lto, nitride):
         with pytest.raises(ValueError):
@@ -186,3 +190,27 @@ def test_min_cap_on_fresh_geometry_is_one_cold_solve(lto):
     t = min_cap_thickness(lto, c)
     assert _unit_solution.cache_info().misses == misses + 1
     assert t == scan_oracle(lto, c)
+
+
+def test_warm_geometry_solve_counts(lto, nitride, monkeypatch):
+    # both limits follow from one solve through the exact thickness
+    # scaling; the lattice settle adds at most two more
+    c = molding_constraints()
+    min_cap_thickness(lto, c)
+    calls = []
+
+    def counting(spec, grid_n):
+        calls.append(spec.thickness)
+        return solve_plate(spec, grid_n)
+
+    monkeypatch.setattr(design, "solve_plate", counting)
+    for material in (lto, nitride, lto.with_overrides(failure_stress=150 * MPA)):
+        calls.clear()
+        assert min_cap_thickness(material, c) == scan_oracle(material, c)
+        assert len(calls) <= 3
+    calls.clear()
+    equivalent_thickness(lto, 4.5 * UM, nitride, c)
+    assert len(calls) == 2
+    calls.clear()
+    equivalent_thickness(lto, 4.5 * UM, nitride, c, match="stress")
+    assert len(calls) == 2

@@ -297,6 +297,41 @@ class TestCloggingAndMolding:
         with pytest.raises(RecipeError, match="grid_n"):
             parse_recipe(MINIMAL + "\n[molding]\ngrid_n = coarse\n")
 
+    @pytest.mark.parametrize("grid_n", [15, 257, 100000])
+    def test_grid_n_out_of_bounds(self, grid_n):
+        with pytest.raises(RecipeError, match=r"^line 11: grid_n: grid_n must lie in \[16, 256\]$"):
+            parse_recipe(MINIMAL + f"\n[molding]\ngrid_n = {grid_n}\n")
+
+    @pytest.mark.parametrize("grid_n", [16, 256])
+    def test_grid_n_bounds_are_inclusive(self, grid_n):
+        assert parse_recipe(MINIMAL + f"\n[molding]\ngrid_n = {grid_n}\n").molding.grid_n == grid_n
+
+
+class TestReleaseRasterBound:
+    # MINIMAL's footprint is 30 um square: a 30um/2048 pitch gives
+    # exactly 2**22 cells, the largest raster allowed
+    def test_largest_raster_parses(self):
+        text = MINIMAL + "\n[release]\ncoverage_pitch = 14.6484375nm\n"
+        assert parse_recipe(text).coverage_pitch == pytest.approx(30 * UM / 2048)
+
+    def test_finer_pitch_is_rejected(self):
+        with pytest.raises(RecipeError, match="^line 11: coverage_pitch: .*raster"):
+            parse_recipe(MINIMAL + "\n[release]\ncoverage_pitch = 14.64nm\n")
+
+    def test_default_pitch_follows_the_holes(self):
+        # the default pitch is an eighth of the smallest hole dimension
+        with pytest.raises(RecipeError, match=r"^\[holes\]: .*raster"):
+            parse_recipe(MINIMAL.replace("diameter=1.5um", "diameter=100nm"))
+
+    def test_explicit_pitch_overrides_the_holes(self):
+        text = MINIMAL.replace("diameter=1.5um", "diameter=100nm")
+        assert parse_recipe(text + "\n[release]\ncoverage_pitch = 0.2um\n").coverage_pitch == 0.2 * UM
+
+    @pytest.mark.parametrize("token", ["0nm", "-1um", "1e-310um"])
+    def test_degenerate_pitch_is_rejected(self, token):
+        with pytest.raises(RecipeError, match="coverage"):
+            parse_recipe(MINIMAL + f"\n[release]\ncoverage_pitch = {token}\n")
+
     def test_bad_clog_param(self):
         with pytest.raises(RecipeError, match="closure_per_side"):
             parse_recipe(MINIMAL + "\n[clogging]\nclosure_per_side = 0\n")
@@ -319,7 +354,7 @@ FIELD_VALUES = {
     "release.aperture_factor": ("30um", "-1um"),
     "release.channel_factor": ("0.5", "-0.1"),
     "release.max_time": ("60min", None),
-    "release.coverage_pitch": ("0.2um", None),
+    "release.coverage_pitch": ("0.2um", "1nm"),
     "release.probe_time": ("2min", None),
     "clogging.closure_per_side": ("0.9um/um", "0"),
     "clogging.reference_sticking": ("0.3", "1.5"),
