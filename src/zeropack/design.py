@@ -53,7 +53,7 @@ class DesignConstraints:
             raise ValueError("need 0 < thickness_min < thickness_max")
 
 
-def _evaluate(material: Material, thickness: float, constraints: DesignConstraints, grid_n: int):
+def _evaluate(material: Material, thickness: float, constraints: DesignConstraints):
     spec = PlateSpec(
         side_a=constraints.side_a,
         side_b=constraints.side_b,
@@ -61,7 +61,7 @@ def _evaluate(material: Material, thickness: float, constraints: DesignConstrain
         material=material,
         pressure=constraints.pressure,
     )
-    sol = solve_plate(spec, grid_n)
+    sol = solve_plate(spec, VERIFY_GRID_N)
     return sol.w_max, sol.sigma_max
 
 
@@ -77,33 +77,31 @@ def _violations(material, w_max, sigma_max, constraints):
     return out
 
 
-def min_cap_thickness(
-    material: Material,
-    constraints: DesignConstraints,
-    *,
-    step: float = THICKNESS_STEP,
-) -> float:
+def min_cap_thickness(material: Material, constraints: DesignConstraints) -> float:
     """Smallest cap thickness meeting both molding constraints.
 
     One solve at ``thickness_max`` on the verification grid (128) gives
     the thickness at which each limit is met exactly, through the
-    ``t^-3`` and ``t^-2`` scaling; the lattice ``t_min + k * step`` is
-    entered at the point above it, then stepped to the first feasible
-    point whose predecessor is infeasible, so the result equals an
-    exhaustive scan of the same lattice on that grid. Every solve shares
-    one cached factorisation per geometry.
+    ``t^-3`` and ``t^-2`` scaling; the lattice
+    ``t_min + k * THICKNESS_STEP`` is entered at the point above it, then
+    stepped to the first feasible point whose predecessor is infeasible,
+    so the result equals an exhaustive scan of the same lattice on that
+    grid. When no lattice point up to ``thickness_max`` is feasible, the
+    result is ``thickness_max`` itself, never a point beyond it. Every
+    solve shares one cached factorisation per geometry.
     """
     c = constraints
-    last = int((c.thickness_max - c.thickness_min) / step)
+    last = int((c.thickness_max - c.thickness_min) / THICKNESS_STEP)
 
     def t_at(k: int) -> float:
-        return c.thickness_min + k * step
+        # the float lattice can round past an on-lattice thickness_max
+        return min(c.thickness_min + k * THICKNESS_STEP, c.thickness_max)
 
     def feasible(k: int) -> bool:
-        w_max, sigma_max = _evaluate(material, t_at(k), c, VERIFY_GRID_N)
+        w_max, sigma_max = _evaluate(material, t_at(k), c)
         return not _violations(material, w_max, sigma_max, c)
 
-    w_max, sigma_max = _evaluate(material, c.thickness_max, c, VERIFY_GRID_N)
+    w_max, sigma_max = _evaluate(material, c.thickness_max, c)
     problems = _violations(material, w_max, sigma_max, c)
     if problems:
         raise DesignError(
@@ -115,10 +113,13 @@ def min_cap_thickness(
     t_need = c.thickness_max * max(
         (w_max / c.max_deflection) ** (1.0 / 3.0), (sigma_max / stress_limit) ** 0.5
     )
-    k = min(max(math.ceil((t_need - c.thickness_min) / step), 0), last)
+    k = min(max(math.ceil((t_need - c.thickness_min) / THICKNESS_STEP), 0), last)
     # settle on the lattice point an exhaustive scan would stop at
     while k <= last and not feasible(k):
         k += 1
+    if k > last:
+        # only the gap above the last lattice point is feasible
+        return c.thickness_max
     while k > 0 and feasible(k - 1):
         k -= 1
     return t_at(k)
@@ -131,7 +132,6 @@ def equivalent_thickness(
     constraints: DesignConstraints,
     *,
     match: str = "deflection",
-    grid_n: int = VERIFY_GRID_N,
 ) -> float:
     """Thickness of ``material_b`` matching ``material_a`` at ``thickness_a``.
 
@@ -150,7 +150,7 @@ def equivalent_thickness(
     c = constraints
 
     (w_a, sigma_a), (w_b, sigma_b) = (
-        _evaluate(m, thickness_a, c, grid_n) for m in (material_a, material_b)
+        _evaluate(m, thickness_a, c) for m in (material_a, material_b)
     )
     if match == "deflection":
         t_b = thickness_a * (w_b / w_a) ** (1.0 / 3.0)

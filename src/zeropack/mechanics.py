@@ -2,16 +2,16 @@
 
 Small-deflection Kirchhoff theory for a rectangular plate clamped on all
 four edges under uniform transverse load: the biharmonic equation
-``del^4 w = q / D`` is discretized with the 13-point finite-difference
-stencil, clamped edges imposed through mirror ghost nodes, and solved
-directly (sparse LU). The load-independent unit solution is cached per
-(side_a, side_b, grid_n), so deflection scales exactly linearly with
-``q`` and exactly as ``1/t^3`` through the flexural rigidity.
+``del^4 w = q / D`` is discretized as a Kronecker sum of 1-D clamped
+second differences (mirror ghost nodes) and solved by sparse LU. The
+load-independent unit solution is cached per (side_a, side_b, grid_n),
+so deflection scales exactly linearly with ``q`` and exactly as
+``1/t^3`` through the flexural rigidity.
 
-Bending stress is evaluated from second differences of the deflection
-field: ``sigma = 6 M / t^2`` with ``M = -D (w_xx + nu w_yy)`` (and the
-transpose), maximized over the grid; for a uniformly loaded clamped
-plate the maximum sits at the mid-edge.
+Bending stress is evaluated from the same second differences of the
+deflection field: ``sigma = 6 M / t^2`` with ``M = -D (w_xx + nu w_yy)``
+(and the transpose), maximized over the grid; for a uniformly loaded
+clamped plate the maximum sits at the mid-edge.
 """
 
 from __future__ import annotations
@@ -83,61 +83,44 @@ def flexural_rigidity(material: Material, thickness: float) -> float:
 
 
 @lru_cache(maxsize=32)
+def _clamped_second_difference(n: int) -> sparse.csr_matrix:
+    """Second difference on the n+1 nodes of a clamped grid line, in units
+    of 1/h^2. Interior rows are [1, -2, 1]; the edge rows carry the
+    clamped condition, w = 0 on the edge node and mirror ghost
+    w_-1 = w_1, so they read [0, 2, 0, ...] and [..., 0, 2, 0]."""
+    g = np.eye(n + 1, k=-1) - 2.0 * np.eye(n + 1) + np.eye(n + 1, k=1)
+    g[[0, n]] = 0.0
+    g[0, 1] = g[n, n - 1] = 2.0
+    return sparse.csr_matrix(g)
+
+
+@lru_cache(maxsize=32)
 def _unit_solution(side_a: float, side_b: float, grid_n: int):
-    """Solve del^4 v = 1 on the clamped rectangle; cached per geometry."""
+    """Solve del^4 v = 1 on the clamped rectangle; cached per geometry.
+
+    The operator on the interior nodes (x varying fastest) is the
+    Kronecker sum of the clamped line differences G:
+    ``A = I (x) D4 / hx^4 + D4 (x) I / hy^4 + 2 D2 (x) D2 / (hx^2 hy^2)``
+    with ``D2 = G[1:n, 1:n]`` and ``D4 = (G G)[1:n, 1:n]``.
+    """
     n = grid_n
     hx = side_a / n
     hy = side_b / n
-    m = n - 1
-
-    cx = 1.0 / hx**4
-    cy = 1.0 / hy**4
-    cxy = 2.0 / (hx**2 * hy**2)
-    stencil = [
-        (0, 0, 6.0 * cx + 6.0 * cy + 4.0 * cxy),
-        (-1, 0, -4.0 * cx - 2.0 * cxy),
-        (1, 0, -4.0 * cx - 2.0 * cxy),
-        (0, -1, -4.0 * cy - 2.0 * cxy),
-        (0, 1, -4.0 * cy - 2.0 * cxy),
-        (-1, -1, cxy),
-        (-1, 1, cxy),
-        (1, -1, cxy),
-        (1, 1, cxy),
-        (-2, 0, cx),
-        (2, 0, cx),
-        (0, -2, cy),
-        (0, 2, cy),
-    ]
-
-    ii, jj = np.meshgrid(np.arange(1, n), np.arange(1, n), indexing="xy")
-    ii = ii.ravel()
-    jj = jj.ravel()
-    k = (jj - 1) * m + (ii - 1)
-
-    rows, cols, data = [], [], []
-    for di, dj, c in stencil:
-        it = ii + di
-        jt = jj + dj
-        # clamped edges: w = 0 on the boundary, dw/dn = 0 via mirror ghosts
-        it = np.where(it == -1, 1, it)
-        it = np.where(it == n + 1, n - 1, it)
-        jt = np.where(jt == -1, 1, jt)
-        jt = np.where(jt == n + 1, n - 1, jt)
-        inside = (it >= 1) & (it <= n - 1) & (jt >= 1) & (jt <= n - 1)
-        rows.append(k[inside])
-        cols.append(((jt - 1) * m + (it - 1))[inside])
-        data.append(np.full(inside.sum(), c))
-
-    a_mat = sparse.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(m * m, m * m),
+    g = _clamped_second_difference(n)
+    d2 = g[1:n, 1:n]
+    d4 = (g @ g)[1:n, 1:n]
+    eye = sparse.identity(n - 1, format="csr")
+    a_mat = (
+        sparse.kron(eye, d4) * (1.0 / hx**4)
+        + sparse.kron(d4, eye) * (1.0 / hy**4)
+        + sparse.kron(d2, d2) * (2.0 / (hx**2 * hy**2))
     ).tocsr()
-    v_int = spsolve(a_mat, np.ones(m * m))
+    v_int = spsolve(a_mat, np.ones((n - 1) ** 2))
     if not np.all(np.isfinite(v_int)):
         raise SolverError("plate system is singular or ill-conditioned")
 
     v = np.zeros((n + 1, n + 1))
-    v[1:n, 1:n] = v_int.reshape(m, m)
+    v[1:n, 1:n] = v_int.reshape(n - 1, n - 1)
     x = np.linspace(0.0, side_a, n + 1)
     y = np.linspace(0.0, side_b, n + 1)
     for arr in (v, x, y):
@@ -146,18 +129,10 @@ def _unit_solution(side_a: float, side_b: float, grid_n: int):
 
 
 def _curvatures(w: np.ndarray, hx: float, hy: float):
-    """Second differences of the field: centered in the interior, and the
-    mirror-ghost form (w_-1 = w_1, w_0 = 0) on the clamped edges, matching
-    the convention the solver itself discretizes with."""
-    wxx = np.zeros_like(w)
-    wyy = np.zeros_like(w)
-    wxx[:, 1:-1] = (w[:, :-2] - 2.0 * w[:, 1:-1] + w[:, 2:]) / hx**2
-    wxx[:, 0] = 2.0 * w[:, 1] / hx**2
-    wxx[:, -1] = 2.0 * w[:, -2] / hx**2
-    wyy[1:-1, :] = (w[:-2, :] - 2.0 * w[1:-1, :] + w[2:, :]) / hy**2
-    wyy[0, :] = 2.0 * w[1, :] / hy**2
-    wyy[-1, :] = 2.0 * w[-2, :] / hy**2
-    return wxx, wyy
+    """Second differences of the field along x (each row of ``w``) and y
+    (each column), with the solver's clamped line difference."""
+    g = _clamped_second_difference(len(w) - 1)
+    return (g @ w.T).T / hx**2, (g @ w) / hy**2
 
 
 def max_bending_stress(spec: PlateSpec, solution: PlateSolution) -> float:

@@ -193,14 +193,13 @@ def time_to_release(
     *,
     max_time: float = DEFAULT_TIME_CAP,
     grid_pitch: float | None = None,
-    time_tol: float = TIME_TOLERANCE,
 ) -> tuple[float, float]:
     """Smallest time at which the etch fronts cover the whole footprint.
 
     Returns ``(t_release, structural_loss)``. Found by bisection on the
     monotone coverage; the left endpoint of the final bracket is
     returned, so the result underestimates the true release time by at
-    most ``time_tol``. Raises :class:`ReleaseTooSlowError` if the layout
+    most ``TIME_TOLERANCE``. Raises :class:`ReleaseTooSlowError` if the layout
     has not released by ``max_time``.
     """
     if not holes:
@@ -231,7 +230,7 @@ def time_to_release(
         raise ReleaseTooSlowError(
             f"footprint not fully released after {max_time / MINUTE:g} min"
         )
-    while hi - lo > time_tol:
+    while hi - lo > TIME_TOLERANCE:
         mid = 0.5 * (lo + hi)
         if covered(mid):
             hi = mid

@@ -3,8 +3,11 @@
 Each oracle deliberately avoids the code path it validates: the etch
 oracle integrates the front ODE with plain explicit Euler, the plate
 oracle is a polynomial Rayleigh-Ritz energy minimization (no finite
-differences), the residue oracle is brute trapezoid quadrature, and the
-coverage oracle rasterises every hole at every point.
+differences), the plate-operator oracle assembles the 13-point stencil
+node by node with mirror ghosts (the program builds it from Kronecker
+products of one 1-D clamped difference), the residue oracle is brute
+trapezoid quadrature, and the coverage oracle rasterises every hole at
+every point.
 
 ``closed_form_underetch`` is the exception: the program itself evaluates
 the quadratic first integral of the front law, so that oracle restates
@@ -16,6 +19,7 @@ import math
 
 import numpy as np
 from numpy.polynomial import Polynomial
+from scipy import sparse
 
 from zeropack.geometry import hole_area
 from zeropack.units import MINUTE
@@ -106,6 +110,64 @@ def ritz_clamped_square(n_terms=8):
     return float(w_center), float(-wxx_edge)
 
 
+def stencil_plate_operator(side_a, side_b, n):
+    """The clamped-plate biharmonic on the interior nodes of an n x n cell
+    grid (x index fastest), assembled from the explicit 13-point stencil.
+    A stencil point on the edge drops out (w = 0 there); one beyond the
+    edge is mirrored back onto the first interior line (w_-1 = w_1)."""
+    hx = side_a / n
+    hy = side_b / n
+    m = n - 1
+    cx = 1.0 / hx**4
+    cy = 1.0 / hy**4
+    cxy = 2.0 / (hx**2 * hy**2)
+    stencil = [
+        (0, 0, 6.0 * cx + 6.0 * cy + 4.0 * cxy),
+        (-1, 0, -4.0 * cx - 2.0 * cxy),
+        (1, 0, -4.0 * cx - 2.0 * cxy),
+        (0, -1, -4.0 * cy - 2.0 * cxy),
+        (0, 1, -4.0 * cy - 2.0 * cxy),
+        (-1, -1, cxy),
+        (-1, 1, cxy),
+        (1, -1, cxy),
+        (1, 1, cxy),
+        (-2, 0, cx),
+        (2, 0, cx),
+        (0, -2, cy),
+        (0, 2, cy),
+    ]
+
+    def mirror(k):
+        return 1 if k == -1 else n - 1 if k == n + 1 else k
+
+    entries = {}
+    for j in range(1, n):
+        for i in range(1, n):
+            row = (j - 1) * m + (i - 1)
+            for di, dj, c in stencil:
+                it, jt = mirror(i + di), mirror(j + dj)
+                if 1 <= it <= n - 1 and 1 <= jt <= n - 1:
+                    col = (jt - 1) * m + (it - 1)
+                    entries[row, col] = entries.get((row, col), 0.0) + c
+    rows, cols = zip(*entries)
+    return sparse.csr_matrix((list(entries.values()), (rows, cols)), shape=(m * m, m * m))
+
+
+def edge_row_curvatures(w, hx, hy):
+    """Second differences of a clamped field: centred in the interior and
+    ``2 w_1 / h^2`` on each edge line, from the mirror ghost ``w_-1 = w_1``
+    and ``w_0 = 0``."""
+    wxx = np.zeros_like(w)
+    wyy = np.zeros_like(w)
+    wxx[:, 1:-1] = (w[:, :-2] - 2.0 * w[:, 1:-1] + w[:, 2:]) / hx**2
+    wxx[:, 0] = 2.0 * w[:, 1] / hx**2
+    wxx[:, -1] = 2.0 * w[:, -2] / hx**2
+    wyy[1:-1, :] = (w[:-2, :] - 2.0 * w[1:-1, :] + w[2:, :]) / hy**2
+    wyy[0, :] = 2.0 * w[1, :] / hy**2
+    wyy[-1, :] = 2.0 * w[-2, :] / hy**2
+    return wxx, wyy
+
+
 def _dilated_distance(hole, cx, cy, reach, x, y):
     """Signed distance from points to a hole centred at ``(cx, cy)`` and
     dilated by ``reach``; the hole is read through its fields only."""
@@ -164,11 +226,22 @@ def dense_release_coverage(footprint, holes, underetch, pitch):
 
 def scan_release_time(footprint, holes, stack, params, pitch, step=0.01 * MINUTE, cap=150 * MINUTE):
     """First multiple of ``step`` at which coverage hits 1, using the
-    closed-form front solution and the dense coverage oracle."""
-    t = 0.0
-    while t <= cap:
+    closed-form front solution and the dense coverage oracle.
+
+    Walks 1-minute steps to the last uncovered whole minute, then
+    ``step``s from there. The shortcut relies on coverage being monotone
+    in time: no multiple of ``step`` below an uncovered time is covered."""
+
+    def covered(t):
         u = [closed_form_underetch(h, stack, params, t) for h in holes]
-        if dense_release_coverage(footprint, holes, u, pitch) >= 1.0:
-            return t
-        t += step
+        return dense_release_coverage(footprint, holes, u, pitch) >= 1.0
+
+    stride = round(MINUTE / step)
+    k = 0
+    while (k + stride) * step <= cap and not covered((k + stride) * step):
+        k += stride
+    while k * step <= cap:
+        if covered(k * step):
+            return k * step
+        k += 1
     raise AssertionError("release scan exceeded cap")

@@ -38,22 +38,26 @@ def molding_constraints(**overrides):
 
 
 def scan_oracle(material, constraints):
-    """Exhaustive 10 nm sweep using the plate solver directly."""
-    t = constraints.thickness_min
-    k = 0
-    while True:
-        t = constraints.thickness_min + k * THICKNESS_STEP
+    """Exhaustive 10 nm sweep using the plate solver directly: the first
+    feasible lattice point up to ``thickness_max``, else ``thickness_max``
+    itself when it is feasible, else ``None``."""
+
+    def feasible(t):
         sol = solve_plate(
             PlateSpec(constraints.side_a, constraints.side_b, t, material, constraints.pressure),
             VERIFY_GRID_N,
         )
-        ok = (
+        return (
             sol.w_max <= constraints.max_deflection
             and sol.sigma_max <= material.failure_stress / constraints.safety_factor
         )
-        if ok:
+
+    k = 0
+    while (t := constraints.thickness_min + k * THICKNESS_STEP) <= constraints.thickness_max:
+        if feasible(t):
             return t
         k += 1
+    return constraints.thickness_max if feasible(constraints.thickness_max) else None
 
 
 class TestMinCapThickness:
@@ -114,6 +118,26 @@ class TestMinCapThickness:
             VERIFY_GRID_N,
         )
         assert thin.sigma_max > brittle.failure_stress
+
+    @pytest.mark.parametrize(
+        "t_max_um, t_limit_um, pressure",
+        [
+            # off the lattice, between 5.50 and 5.51 um
+            (5.505, 5.502, 10 * MPA),
+            # on the lattice, but 0.5 um + 90 * 10 nm rounds to above 1.4 um
+            (1.4, 1.395, 1 * MPA),
+        ],
+    )
+    def test_never_exceeds_thickness_max(self, lto, t_max_um, t_limit_um, pressure):
+        # the deflection limit is met only above the last lattice point
+        # below thickness_max
+        plate = PlateSpec(30 * UM, 30 * UM, t_limit_um * UM, lto, pressure)
+        limit = solve_plate(plate, VERIFY_GRID_N).w_max
+        c = molding_constraints(
+            pressure=pressure, max_deflection=limit, thickness_max=t_max_um * UM
+        )
+        assert scan_oracle(lto, c) == c.thickness_max
+        assert min_cap_thickness(lto, c) == c.thickness_max
 
     def test_constraint_validation(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
-from oracles import ritz_clamped_square
+from oracles import edge_row_curvatures, ritz_clamped_square, stencil_plate_operator
+from zeropack import mechanics
 from zeropack.geometry import Material
 from zeropack.mechanics import (
     ComparisonRow,
@@ -139,6 +141,47 @@ class TestSolvePlate:
     def test_max_bending_stress_consistent(self, lto_plate):
         sol = solve_plate(lto_plate, 64)
         assert max_bending_stress(lto_plate, sol) == sol.sigma_max
+
+
+OPERATOR_GRIDS = [
+    (30 * UM, 30 * UM, 16),
+    (30 * UM, 30 * UM, 33),
+    (30 * UM, 30 * UM, 128),
+    (30 * UM, 45 * UM, 33),
+    (33.7 * UM, 48.2 * UM, 128),
+    (10 * UM, 10_000 * UM, 16),
+]
+OPERATOR_IDS = ["square-16", "square-33", "square-128", "aspect1.5-33", "rect-128", "aspect1000-16"]
+
+
+class TestClampedOperator:
+    @pytest.mark.parametrize("side_a, side_b, n", OPERATOR_GRIDS, ids=OPERATOR_IDS)
+    def test_matches_thirteen_point_stencil(self, monkeypatch, side_a, side_b, n):
+        operators = []
+
+        def recording(a_mat, rhs):
+            operators.append(a_mat)
+            return spsolve(a_mat, rhs)
+
+        monkeypatch.setattr(mechanics, "spsolve", recording)
+        mechanics._unit_solution.__wrapped__(side_a, side_b, n)
+        (a_mat,) = operators
+        a_mat = a_mat.tocsr()
+        a_mat.sort_indices()
+        ref = stencil_plate_operator(side_a, side_b, n)
+        ref.sort_indices()
+        assert np.array_equal(a_mat.indptr, ref.indptr)
+        assert np.array_equal(a_mat.indices, ref.indices)
+        assert np.all(np.abs(a_mat.data - ref.data) <= 1e-12 * np.abs(ref.data))
+
+    @pytest.mark.parametrize("side_a, side_b, n", OPERATOR_GRIDS, ids=OPERATOR_IDS)
+    def test_curvatures_equal_edge_row_formulas(self, side_a, side_b, n):
+        hx, hy = side_a / n, side_b / n
+        _, _, v = mechanics._unit_solution(side_a, side_b, n)
+        noise = np.random.default_rng(n).standard_normal(v.shape)
+        for w in (v, noise):
+            for got, want in zip(mechanics._curvatures(w, hx, hy), edge_row_curvatures(w, hx, hy)):
+                assert np.array_equal(got, want)
 
 
 class TestMoldingDeflections:
