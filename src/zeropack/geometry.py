@@ -21,7 +21,6 @@ from .units import GPA, MINUTE, NM, UM
 CIRCLE = "circle"
 SQUARE = "square"
 RECTANGLE = "rectangle"
-_SHAPES = (CIRCLE, SQUARE, RECTANGLE)
 
 
 @dataclass(frozen=True)
@@ -39,7 +38,7 @@ class Hole:
     center: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
-        if self.shape not in _SHAPES:
+        if self.shape not in _HOLE_SHAPES:
             raise ValueError(f"unknown hole shape {self.shape!r}")
         if not (self.width > 0.0 and self.length > 0.0):
             raise ValueError("hole dimensions must be strictly positive")
@@ -62,6 +61,14 @@ class Hole:
     ) -> "Hole":
         lo, hi = sorted((width, length))
         return cls(RECTANGLE, lo, hi, center)
+
+
+# hole shape -> (constructor, its dimensions in argument order)
+_HOLE_SHAPES = {
+    CIRCLE: (Hole.circle, ("diameter",)),
+    SQUARE: (Hole.square, ("side",)),
+    RECTANGLE: (Hole.rectangle, ("width", "length")),
+}
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ class PlateSpec:
             warnings.warn(
                 f"thickness {self.thickness / UM:g} um exceeds a fifth of the "
                 "span; thin-plate theory is marginal",
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__ to its caller
             )
 
 

@@ -178,9 +178,10 @@ def set_param(recipe: Recipe, path: str, value: float) -> Recipe:
     """Return a copy of the recipe with one numeric field replaced.
 
     Paths are ``<section>.<key>`` for every numeric key a recipe file
-    takes in [stack], [release], [clogging] and [molding] (``grid_n``
-    excepted), plus ``holes.<dim>`` (all holes) and ``holes[i].<dim>``.
-    The value passes the same setter and range checks as a recipe line.
+    takes in [stack], [release], [clogging] and [molding],
+    ``materials.<name>.<property>`` for a material override, plus
+    ``holes.<dim>`` (all holes) and ``holes[i].<dim>``. The value passes
+    the same setter and range checks as a recipe line.
     """
     return _set_field(recipe, path, value, f"{path} = {value!r}")
 

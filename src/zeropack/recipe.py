@@ -24,11 +24,12 @@ library defaults.
 
 Every numeric key of [stack], [release], [clogging] and [molding] is
 listed once in ``_FIELDS`` with its dimension and its place in
-:class:`Recipe`. A recipe line and ``pipeline.set_param`` (the sweep)
-both go through ``_set_field``, so they accept and reject the same
-values; a rejected line is reported as ``line N: key: reason``.
-``grid_n`` (an integer), ``footprint``, ``calibrate_from``, the
-required [stack] keys and [materials] are parsed by hand.
+:class:`Recipe`; a [materials] override ``<name>.<property>`` takes its
+dimension from ``_MATERIAL_FIELD_KINDS``. A recipe line and
+``pipeline.set_param`` (the sweep) both go through ``_set_field``, so
+they accept and reject the same values; a rejected line is reported as
+``line N: key: reason``. Only ``footprint``, ``calibrate_from``, the
+material roles and the required [stack] keys are read outside it.
 
 Values that would drive unbounded work are rejected in the same
 dataclass checks: ``grid_n`` lies in ``[MIN_GRID_N, MAX_GRID_N]`` and
@@ -46,6 +47,7 @@ from pathlib import Path
 from .clogging import DEFAULT_MAX_DEPOSITION, ClogParams
 from .errors import RecipeError
 from .geometry import (
+    _HOLE_SHAPES,
     Hole,
     Material,
     PackageStack,
@@ -95,6 +97,7 @@ _MATERIAL_FIELD_KINDS = {
     "poisson_ratio": "none",
     "failure_stress": "pressure",
 }
+_MATERIAL_NAMES = frozenset(standard_materials())
 
 
 # "<section>.<key>" -> (dimension, where the value lives in Recipe)
@@ -119,16 +122,11 @@ _FIELDS = {
     "molding.pressure": ("pressure", "molding.pressure"),
     "molding.max_deflection": ("length", "molding.max_deflection"),
     "molding.safety_factor": ("none", "molding.safety_factor"),
-}
-
-# hole shape -> (constructor, its dimensions in argument order)
-_HOLE_SHAPES = {
-    "circle": (Hole.circle, ("diameter",)),
-    "square": (Hole.square, ("side",)),
-    "rectangle": (Hole.rectangle, ("width", "length")),
+    "molding.grid_n": ("count", "molding.grid_n"),
 }
 
 _HOLES_PATH_RE = re.compile(r"holes(?:\[(\d+)\])?\.(\w+)")
+_MATERIALS_PATH_RE = re.compile(r"materials\.([^.]*)\.(.*)")
 
 
 @dataclass(frozen=True)
@@ -147,6 +145,8 @@ class MoldingSpec:
             raise ValueError("max_deflection must be > 0")
         if not self.safety_factor >= 1.0:
             raise ValueError("safety_factor must be >= 1")
+        if not isinstance(self.grid_n, int):
+            raise ValueError("grid_n must be an int")
         if not MIN_GRID_N <= self.grid_n <= MAX_GRID_N:
             raise ValueError(f"grid_n must lie in [{MIN_GRID_N}, {MAX_GRID_N}]")
 
@@ -171,6 +171,12 @@ class Recipe:
     molding: MoldingSpec = MoldingSpec()
 
     def __post_init__(self) -> None:
+        if not self.etch_max_time > 0.0:
+            raise ValueError("max_time must be > 0")
+        if self.probe_time is not None and not self.probe_time >= 0.0:
+            raise ValueError("probe_time must be >= 0")
+        if not self.max_deposition >= 0.0:
+            raise ValueError("max_deposition must be >= 0")
         if not self.chamber_pressure >= 0.0:
             raise ValueError("chamber_pressure must be >= 0")
         pitch = self.coverage_pitch
@@ -197,7 +203,7 @@ def parse_quantity(token: str, kind: str, where: str) -> float:
     """Parse ``1.5um``-style quantities into SI, enforcing the dimension.
 
     Values that overflow to infinity, as written or once scaled to SI,
-    are rejected.
+    are rejected. A ``count`` is a bare whole number, returned as an int.
     """
     m = _NUMBER_RE.fullmatch(token.strip())
     if not m:
@@ -213,6 +219,12 @@ def _to_si(value: float, unit: str, kind: str, where: str) -> float:
         if unit:
             raise RecipeError(f"{where}: expected a dimensionless number, got unit {unit!r}")
         return value
+    if kind == "count":
+        if unit:
+            raise RecipeError(f"{where}: expected a whole number, got unit {unit!r}")
+        if not value.is_integer():
+            raise RecipeError(f"{where}: expected a whole number, got {value!r}")
+        return int(value)
     if kind == "closure":
         if not unit:
             return value
@@ -312,6 +324,14 @@ def _field_kind(path: str) -> str:
         return "length"
     if path in _FIELDS:
         return _FIELDS[path][0]
+    m = _MATERIALS_PATH_RE.fullmatch(path)
+    if m:
+        name, prop = m.groups()
+        if name not in _MATERIAL_NAMES:
+            raise RecipeError(f"unknown material {name!r}")
+        if prop not in _MATERIAL_FIELD_KINDS:
+            raise RecipeError(f"unknown material property {prop!r}")
+        return _MATERIAL_FIELD_KINDS[prop]
     raise RecipeError(f"{path!r} is not a numeric recipe field")
 
 
@@ -331,8 +351,12 @@ def _set_field(recipe: Recipe, path: str, value: float, where: str) -> Recipe:
     reported as ``RecipeError`` prefixed with ``where``.
     """
     _field_kind(path)
-    m = _HOLES_PATH_RE.fullmatch(path)
     try:
+        if path.startswith("materials."):
+            name, prop = _MATERIALS_PATH_RE.fullmatch(path).groups()
+            material = replace(recipe.materials[name], **{prop: value})
+            return replace(recipe, materials={**recipe.materials, name: material})
+        m = _HOLES_PATH_RE.fullmatch(path)
         if m:
             index, dim = m.groups()
             holes = list(recipe.holes)
@@ -388,35 +412,15 @@ def _parse_footprint(entry: _Entry) -> Rect:
         raise RecipeError(f"{where}: {exc}") from None
 
 
-def _build_materials(entries: dict[str, _Entry]):
-    materials = standard_materials()
+def _material_roles(entries: dict[str, _Entry]) -> dict[str, str]:
+    """Pop the role keys of [materials]; the overrides stay in ``entries``."""
     roles = {"sacrificial": "asi", "structural": "sio2_sputter", "sealing": "sio2_sputter"}
-    overrides: dict[str, dict[str, float]] = {}
-    for key, entry in entries.items():
-        where = f"line {entry.lineno}"
-        if key in roles:
-            roles[key] = entry.value
-        elif "." in key:
-            mat_name, field = key.split(".", 1)
-            if mat_name not in materials:
-                raise RecipeError(f"{where}: unknown material {mat_name!r}")
-            if field not in _MATERIAL_FIELD_KINDS:
-                raise RecipeError(f"{where}: unknown material property {field!r}")
-            value = parse_quantity(
-                entry.value, _MATERIAL_FIELD_KINDS[field], f"{where}: {key}"
-            )
-            overrides.setdefault(mat_name, {})[field] = value
-        else:
-            raise RecipeError(f"{where}: unknown key {key!r} in [materials]")
-    for mat_name, props in overrides.items():
-        try:
-            materials[mat_name] = materials[mat_name].with_overrides(**props)
-        except ValueError as exc:
-            raise RecipeError(f"material {mat_name!r}: {exc}") from None
-    for role, mat_name in roles.items():
-        if mat_name not in materials:
-            raise RecipeError(f"{role} material {mat_name!r} is not defined")
-    return materials, roles
+    for role in roles:
+        if role in entries:
+            roles[role] = entries.pop(role).value
+        if roles[role] not in _MATERIAL_NAMES:
+            raise RecipeError(f"{role} material {roles[role]!r} is not defined")
+    return roles
 
 
 def _calibrated_etch(source: _Entry, release: dict[str, _Entry], base_dir: Path):
@@ -433,21 +437,6 @@ def _calibrated_etch(source: _Entry, release: dict[str, _Entry], base_dir: Path)
     return calibrate_etch(load_observations(path)).params
 
 
-def _molding_grid(entry: _Entry | None) -> MoldingSpec:
-    """Default molding settings with the recipe's ``grid_n``, if any."""
-    if entry is None:
-        return MoldingSpec()
-    where = f"line {entry.lineno}: grid_n"
-    try:
-        grid_n = int(entry.value)
-    except ValueError:
-        raise RecipeError(f"{where} must be an integer") from None
-    try:
-        return MoldingSpec(grid_n=grid_n)
-    except ValueError as exc:
-        raise RecipeError(f"{where}: {exc}") from None
-
-
 def parse_recipe(text: str, *, base_dir: "Path | str | None" = None) -> Recipe:
     """Parse recipe text into a fully resolved :class:`Recipe`.
 
@@ -457,7 +446,8 @@ def parse_recipe(text: str, *, base_dir: "Path | str | None" = None) -> Recipe:
     base = Path(base_dir) if base_dir is not None else Path(".")
     sections, hole_entries, section_lines = _tokenize(text)
 
-    materials, roles = _build_materials(sections.get("materials", {}))
+    material_entries = dict(sections.get("materials", {}))
+    roles = _material_roles(material_entries)
 
     stack_entries = dict(_require(sections, section_lines, "stack"))
     footprint_entry = stack_entries.pop("footprint", None)
@@ -473,7 +463,8 @@ def parse_recipe(text: str, *, base_dir: "Path | str | None" = None) -> Recipe:
             raise RecipeError(
                 f"line {section_lines['stack']}: [stack] is missing required key {key!r}"
             )
-        thicknesses[key] = parse_quantity(entry.value, "length", f"line {entry.lineno}: {key}")
+        kind = _FIELDS[f"stack.{key}"][0]
+        thicknesses[key] = parse_quantity(entry.value, kind, f"line {entry.lineno}: {key}")
     _reject_unknown(stack_entries, "stack")
     try:
         stack = PackageStack(cavity_footprint=footprint, **thicknesses)
@@ -495,9 +486,7 @@ def parse_recipe(text: str, *, base_dir: "Path | str | None" = None) -> Recipe:
 
     release = dict(sections.get("release", {}))
     source = release.pop("calibrate_from", None)
-    molding = dict(sections.get("molding", {}))
     etch = DEFAULT_ETCH_PARAMS if source is None else _calibrated_etch(source, release, base)
-    grid = _molding_grid(molding.pop("grid_n", None))
     # the raster bound depends on the holes and the pitch together, so
     # both are in place before the first check
     pitch_entry = release.pop("coverage_pitch", None)
@@ -505,7 +494,7 @@ def parse_recipe(text: str, *, base_dir: "Path | str | None" = None) -> Recipe:
     pitch = None if pitch_entry is None else parse_quantity(pitch_entry.value, "length", where)
     try:
         recipe = Recipe(
-            materials=materials,
+            materials=standard_materials(),
             sacrificial=roles["sacrificial"],
             structural=roles["structural"],
             sealing=roles["sealing"],
@@ -513,21 +502,26 @@ def parse_recipe(text: str, *, base_dir: "Path | str | None" = None) -> Recipe:
             holes=holes,
             etch=etch,
             coverage_pitch=pitch,
-            molding=grid,
         )
     except ValueError as exc:
         raise RecipeError(f"{where}: {exc}") from None
     for section, entries in (
+        ("materials", material_entries),
         ("release", release),
         ("clogging", sections.get("clogging", {})),
-        ("molding", molding),
+        ("molding", sections.get("molding", {})),
     ):
         for key, entry in entries.items():
             path = f"{section}.{key}"
-            if path not in _FIELDS:
+            # a dotted [materials] key names a material and a property
+            if path not in _FIELDS and not (section == "materials" and "." in key):
                 raise RecipeError(f"line {entry.lineno}: unknown key {key!r} in [{section}]")
             where = f"line {entry.lineno}: {key}"
-            value = parse_quantity(entry.value, _FIELDS[path][0], where)
+            try:
+                kind = _field_kind(path)
+            except RecipeError as exc:
+                raise RecipeError(f"{where}: {exc}") from None
+            value = parse_quantity(entry.value, kind, where)
             recipe = _set_field(recipe, path, value, where)
     return recipe
 

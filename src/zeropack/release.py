@@ -38,6 +38,7 @@ from .geometry import (
     Material,
     PackageStack,
     Rect,
+    _HOLE_SHAPES,
     _released,
     default_coverage_pitch,
     hole_area,
@@ -232,6 +233,10 @@ def time_to_release(
         )
     while hi - lo > TIME_TOLERANCE:
         mid = 0.5 * (lo + hi)
+        # past about 2.7e14 s the bracket can be two adjacent floats
+        # wider than the tolerance, and the midpoint rounds onto one
+        if not lo < mid < hi:
+            break
         if covered(mid):
             hi = mid
         else:
@@ -347,15 +352,11 @@ def _parse_observations(text: str, source: str) -> list[EtchObservation]:
             dim1, dim2, h_s, t, u = (float(p) for p in parts[1:])
         except ValueError as exc:
             raise DataFileError(f"{source}:{lineno}: {exc}") from None
+        if shape not in _HOLE_SHAPES:
+            raise DataFileError(f"{source}:{lineno}: unknown shape {shape!r}")
+        make, dims = _HOLE_SHAPES[shape]
         try:
-            if shape == "circle":
-                hole = Hole.circle(dim1 * UM)
-            elif shape == "square":
-                hole = Hole.square(dim1 * UM)
-            elif shape == "rectangle":
-                hole = Hole.rectangle(dim1 * UM, dim2 * UM)
-            else:
-                raise DataFileError(f"{source}:{lineno}: unknown shape {shape!r}")
+            hole = make(*(d * UM for d in (dim1, dim2)[: len(dims)]))
             out.append(
                 EtchObservation(
                     hole=hole,

@@ -207,6 +207,24 @@ OUT_OF_RANGE = [
         FAST_RECIPE.replace("safety_factor = 1", "safety_factor = 0.5"),
         "safety_factor must be >= 1",
     ),
+    (
+        "release.max_time",
+        "0min",
+        FAST_RECIPE.replace("probe_time = 2min", "probe_time = 2min\nmax_time = 0min"),
+        "max_time must be > 0",
+    ),
+    (
+        "release.probe_time",
+        "-1min",
+        FAST_RECIPE.replace("probe_time = 2min", "probe_time = -1min"),
+        "probe_time must be >= 0",
+    ),
+    (
+        "clogging.max_deposition",
+        "-1um",
+        FAST_RECIPE + "\n[clogging]\nmax_deposition = -1um\n",
+        "max_deposition must be >= 0",
+    ),
 ]
 
 

@@ -208,7 +208,7 @@ class TestEquivalentThickness:
 
 
 def test_min_cap_on_fresh_geometry_is_one_cold_solve(lto):
-    # sides no other test uses, so the plate cache starts cold for them
+    _unit_solution.cache_clear()
     c = molding_constraints(side_a=37.3 * UM, side_b=41.9 * UM)
     misses = _unit_solution.cache_info().misses
     t = min_cap_thickness(lto, c)

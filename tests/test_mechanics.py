@@ -129,8 +129,10 @@ class TestSolvePlate:
             solve_plate(lto_plate, 8)
 
     def test_thick_plate_warns(self, lto):
-        with pytest.warns(UserWarning, match="thin-plate"):
+        with pytest.warns(UserWarning, match="thin-plate") as record:
             PlateSpec(30 * UM, 30 * UM, 10 * UM, lto, 10 * MPA)
+        # reported where the plate is built, not in the generated __init__
+        assert record[0].filename == __file__
 
     def test_invalid_geometry_rejected(self, lto):
         with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ from zeropack.pipeline import (
 )
 from zeropack.recipe import parse_recipe
 from zeropack.release import time_to_release, underetch
-from zeropack.units import MBAR, MINUTE, MPA, NM, UM
+from zeropack.units import GPA, MBAR, MINUTE, MPA, NM, UM
 
 
 @pytest.fixture(scope="module")
@@ -184,14 +184,30 @@ class TestSetParam:
         before = fast_recipe.holes[0].width
         set_param(fast_recipe, "holes.diameter", 3 * UM)
         assert fast_recipe.holes[0].width == before
+        r = set_param(fast_recipe, "materials.lto.youngs_modulus", 80 * GPA)
+        assert r.materials["lto"].youngs_modulus == 80 * GPA
+        assert fast_recipe.materials["lto"].youngs_modulus == 70 * GPA
 
     @pytest.mark.parametrize(
         "path",
-        ["stack.footprint", "holes.radius", "nonsense", "molding.grid_n", "holes[9].diameter"],
+        [
+            "stack.footprint",
+            "holes.radius",
+            "nonsense",
+            "molding.grid_n",  # a field, but 1 um is no grid size
+            "release.calibrate_from",
+            "materials.lto.name",
+            "holes[9].diameter",
+        ],
     )
     def test_bad_paths_rejected(self, fast_recipe, path):
         with pytest.raises(RecipeError):
             set_param(fast_recipe, path, 1 * UM)
+
+    def test_grid_n_takes_an_int_only(self, fast_recipe):
+        assert set_param(fast_recipe, "molding.grid_n", 64).molding.grid_n == 64
+        with pytest.raises(RecipeError, match="grid_n must be an int"):
+            set_param(fast_recipe, "molding.grid_n", 64.0)
 
     def test_wrong_shape_dimension_rejected(self, fast_recipe):
         with pytest.raises(RecipeError, match="no 'side' dimension"):

@@ -7,6 +7,7 @@ from zeropack.errors import RecipeError
 from zeropack.pipeline import param_kind, set_param
 from zeropack.recipe import (
     _FIELDS,
+    _MATERIAL_FIELD_KINDS,
     DEFAULT_CHAMBER_PRESSURE,
     DEFAULT_MOLDING_PRESSURE,
     load_recipe,
@@ -77,6 +78,16 @@ class TestParseQuantity:
         # finite as written, infinite once scaled to SI
         with pytest.raises(RecipeError, match="not finite"):
             parse_quantity("1e308GPa", "pressure", "t")
+
+    def test_counts(self):
+        assert parse_quantity("64", "count", "t") == 64
+        assert isinstance(parse_quantity("6.4e1", "count", "t"), int)
+        with pytest.raises(RecipeError, match="whole number, got unit 'um'"):
+            parse_quantity("64um", "count", "t")
+        with pytest.raises(RecipeError, match="whole number, got 64.5"):
+            parse_quantity("64.5", "count", "t")
+        with pytest.raises(RecipeError, match="whole number, got inf"):
+            parse_quantity("1e400", "count", "t")
 
     def test_garbage(self):
         with pytest.raises(RecipeError, match="cannot parse"):
@@ -207,19 +218,27 @@ class TestMaterialsSection:
         assert r.materials["sio2_sputter"].sticking_coefficient == 0.3
 
     def test_unknown_material(self):
-        with pytest.raises(RecipeError, match="unknown material"):
+        with pytest.raises(
+            RecipeError, match="^line 2: unobtainium.etch_rate: unknown material 'unobtainium'$"
+        ):
             parse_recipe("[materials]\nunobtainium.etch_rate = 1um/min\n" + MINIMAL)
 
     def test_unknown_property(self):
-        with pytest.raises(RecipeError, match="unknown material property"):
+        with pytest.raises(
+            RecipeError, match="^line 2: lto.hardness: unknown material property 'hardness'$"
+        ):
             parse_recipe("[materials]\nlto.hardness = 9\n" + MINIMAL)
+
+    def test_unknown_plain_key(self):
+        with pytest.raises(RecipeError, match=r"^line 2: unknown key 'colour' in \[materials\]$"):
+            parse_recipe("[materials]\ncolour = 9\n" + MINIMAL)
 
     def test_undefined_role_target(self):
         with pytest.raises(RecipeError, match="not defined"):
             parse_recipe("[materials]\nsealing = unobtainium\n" + MINIMAL)
 
     def test_override_validation(self):
-        with pytest.raises(RecipeError, match="sticking"):
+        with pytest.raises(RecipeError, match="^line 2: lto.sticking_coefficient: sticking"):
             parse_recipe("[materials]\nlto.sticking_coefficient = 7\n" + MINIMAL)
 
 
@@ -344,8 +363,7 @@ def test_reference_recipe_parses(reference_recipe):
     assert reference_recipe.chamber_pressure == pytest.approx(5e-7 * MBAR)
 
 
-# every numeric field of the table: (an in-range value, an out-of-range
-# value or None where the range is checked only by the stage using it)
+# every numeric field of the table: (an in-range value, an out-of-range value)
 FIELD_VALUES = {
     "stack.sacrificial_thickness": ("3um", "0um"),
     "stack.cap_thickness": ("2.5um", "-1um"),
@@ -353,26 +371,38 @@ FIELD_VALUES = {
     "release.intrinsic_rate": ("2um/min", "0um/min"),
     "release.aperture_factor": ("30um", "-1um"),
     "release.channel_factor": ("0.5", "-0.1"),
-    "release.max_time": ("60min", None),
+    "release.max_time": ("60min", "0min"),
     "release.coverage_pitch": ("0.2um", "1nm"),
-    "release.probe_time": ("2min", None),
+    "release.probe_time": ("2min", "-1min"),
     "clogging.closure_per_side": ("0.9um/um", "0"),
     "clogging.reference_sticking": ("0.3", "1.5"),
     "clogging.knee_ratio": ("1.8", "0"),
     "clogging.floor_attenuation": ("0.3", "1"),
     "clogging.residue_fraction": ("0.1", "-0.1"),
     "clogging.residue_spread": ("2", "-1"),
-    "clogging.max_deposition": ("6um", None),
+    "clogging.max_deposition": ("6um", "-1um"),
     "clogging.chamber_pressure": ("1e-6mbar", "-1mbar"),
     "molding.pressure": ("50bar", "-1MPa"),
     "molding.max_deflection": ("25nm", "-1nm"),
     "molding.safety_factor": ("2", "0.5"),
+    "molding.grid_n": ("64", "15"),
 }
+
+# one [materials] override per material property, same pairs
+MATERIAL_VALUES = {
+    "materials.asi.etch_rate": ("2um/min", "-1um/min"),
+    "materials.lto.selectivity_loss": ("2nm/min", "-1nm/min"),
+    "materials.sio2_sputter.sticking_coefficient": ("0.3", "7"),
+    "materials.lto.youngs_modulus": ("80GPa", "0GPa"),
+    "materials.nitride_pecvd.poisson_ratio": ("0.3", "0.5"),
+    "materials.polysi_lpcvd.failure_stress": ("2GPa", "-1MPa"),
+}
+ALL_VALUES = FIELD_VALUES | MATERIAL_VALUES
 
 
 def with_line(path, token):
     """MINIMAL with ``path`` written as a recipe line."""
-    section, key = path.split(".")
+    section, key = path.split(".", 1)
     if section == "stack":
         return re.sub(rf"^{key} = .*$", f"{key} = {token}", MINIMAL, flags=re.M)
     return MINIMAL + f"\n[{section}]\n{key} = {token}\n"
@@ -387,22 +417,24 @@ def swept(path, token):
 class TestRecipeLinesAndSweepsAgree:
     def test_table_covers_every_field(self):
         assert set(FIELD_VALUES) == set(_FIELDS)
+        assert {path.rsplit(".", 1)[1] for path in MATERIAL_VALUES} == set(_MATERIAL_FIELD_KINDS)
 
-    @pytest.mark.parametrize("path", sorted(FIELD_VALUES))
+    @pytest.mark.parametrize("path", sorted(ALL_VALUES))
     def test_recipe_line_equals_set_param(self, path):
-        token = FIELD_VALUES[path][0]
+        token = ALL_VALUES[path][0]
         parsed = parse_recipe(with_line(path, token))
         assert parsed != parse_recipe(MINIMAL)
         assert parsed == swept(path, token)
 
-    @pytest.mark.parametrize(
-        "path", sorted(path for path, (_, bad) in FIELD_VALUES.items() if bad is not None)
-    )
+    @pytest.mark.parametrize("path", sorted(ALL_VALUES))
     def test_out_of_range_rejected_on_both_routes(self, path):
-        bad = FIELD_VALUES[path][1]
-        with pytest.raises(RecipeError):
+        bad = ALL_VALUES[path][1]
+        section, key = path.split(".", 1)
+        # [stack] is checked as a whole, once all three thicknesses are read
+        line = r"\[stack\]" if section == "stack" else rf"line \d+: {re.escape(key)}"
+        with pytest.raises(RecipeError, match=rf"^{line}: "):
             parse_recipe(with_line(path, bad))
-        with pytest.raises(RecipeError):
+        with pytest.raises(RecipeError, match=rf"^{re.escape(path)} = "):
             swept(path, bad)
 
     @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -260,6 +261,34 @@ class TestTimeToRelease:
         assert t == 5787.01171875
         # t = 0, doubling from 1 min to 128 min, then 16 bisection steps
         assert len(queries) == 25
+
+    def test_bisection_stops_on_adjacent_floats(self, fast_recipe, monkeypatch):
+        # past about 2.7e14 s the float spacing exceeds TIME_TOLERANCE, so
+        # the bracket narrows to two adjacent floats and halving stalls
+        queries = 0
+
+        def capped(*args):
+            nonlocal queries
+            queries += 1
+            if queries > 200:
+                raise AssertionError("the release bisection does not terminate")
+            return _released(*args)
+
+        monkeypatch.setattr(release_mod, "_released", capped)
+        r = fast_recipe
+        slow = replace(r.etch, intrinsic_rate=1e-12 * UM / MINUTE)
+        fp = r.stack.cavity_footprint
+        t, _ = time_to_release(
+            fp, r.holes, r.stack, slow, r.material("structural"), max_time=1e30 * MINUTE
+        )
+        assert math.ulp(t) > TIME_TOLERANCE
+        # the left endpoint is returned: not yet released, one ulp later it is
+        pitch = default_coverage_pitch(r.holes)
+        verdicts = [
+            _released(fp, r.holes, [underetch(h, r.stack, slow, x) for h in r.holes], pitch)
+            for x in (t, math.nextafter(t, math.inf))
+        ]
+        assert verdicts == [False, True]
 
     def test_reference_release_bracket_agrees_with_dense_oracle(self, reference_recipe):
         r = reference_recipe
