@@ -88,7 +88,7 @@ def min_cap_thickness(material: Material, constraints: DesignConstraints) -> flo
     so the result equals an exhaustive scan of the same lattice on that
     grid. When no lattice point up to ``thickness_max`` is feasible, the
     result is ``thickness_max`` itself, never a point beyond it. Every
-    solve shares one cached factorisation per geometry.
+    solve shares one cached unit solution per geometry.
     """
     c = constraints
     last = int((c.thickness_max - c.thickness_min) / THICKNESS_STEP)

@@ -107,8 +107,14 @@ class PackageStack:
 
     def __post_init__(self) -> None:
         for name in ("sacrificial_thickness", "cap_thickness", "clog_deposition"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            self.check_thickness(name, getattr(self, name))
+
+    @staticmethod
+    def check_thickness(name: str, value: float) -> None:
+        """The range check of one film thickness, usable before the stack
+        is complete (a recipe reads the three one line at a time)."""
+        if not value > 0.0:
+            raise ValueError(f"{name} must be strictly positive")
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,13 @@
 
 Small-deflection Kirchhoff theory for a rectangular plate clamped on all
 four edges under uniform transverse load: the biharmonic equation
-``del^4 w = q / D`` is discretized as a Kronecker sum of 1-D clamped
-second differences (mirror ghost nodes) and solved by sparse LU. The
-load-independent unit solution is cached per (side_a, side_b, grid_n),
-so deflection scales exactly linearly with ``q`` and exactly as
-``1/t^3`` through the flexural rigidity.
+``del^4 w = q / D`` is discretized with 1-D clamped second differences
+(mirror ghost nodes) and solved exactly with numpy alone: the squared
+Laplacian is diagonal in a sine basis, and the clamped edges add a
+correction on the four boundary lines, removed by a capacitance solve
+(Bjorstad's method). The load-independent unit solution is cached per
+(side_a, side_b, grid_n), so deflection scales exactly linearly with
+``q`` and exactly as ``1/t^3`` through the flexural rigidity.
 
 Bending stress is evaluated from the same second differences of the
 deflection field: ``sigma = 6 M / t^2`` with ``M = -D (w_xx + nu w_yy)``
@@ -22,8 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import spsolve
 
 from .errors import SolverError
 from .geometry import Material
@@ -32,7 +32,7 @@ from .units import NM, UM
 MIN_GRID_N = 16
 
 # held around the cached unit solve, so that concurrent callers of one
-# geometry (the rows of a threaded sweep) share a single factorisation
+# geometry (the rows of a threaded sweep) share a single solve
 _UNIT_SOLUTION_LOCK = threading.Lock()
 
 
@@ -82,45 +82,110 @@ def flexural_rigidity(material: Material, thickness: float) -> float:
     )
 
 
-@lru_cache(maxsize=32)
-def _clamped_second_difference(n: int) -> sparse.csr_matrix:
-    """Second difference on the n+1 nodes of a clamped grid line, in units
-    of 1/h^2. Interior rows are [1, -2, 1]; the edge rows carry the
-    clamped condition, w = 0 on the edge node and mirror ghost
-    w_-1 = w_1, so they read [0, 2, 0, ...] and [..., 0, 2, 0]."""
-    g = np.eye(n + 1, k=-1) - 2.0 * np.eye(n + 1) + np.eye(n + 1, k=1)
-    g[[0, n]] = 0.0
-    g[0, 1] = g[n, n - 1] = 2.0
-    return sparse.csr_matrix(g)
+# The clamped edge of a grid line: w = 0 on the edge node and the mirror
+# ghost w_-1 = w_1 make the edge row of the line second difference read
+# w'' = 2 w_1 / h^2. The same factor puts the diagonal term 2/h^4 on the
+# first and last interior node of the line's fourth difference.
+_EDGE_ROW = 2.0
+
+
+def _clamped_second_difference(w: np.ndarray, h: float) -> np.ndarray:
+    """Second difference of ``w`` along its last axis, a grid line of
+    spacing ``h`` clamped at both ends: centred on interior nodes,
+    ``_EDGE_ROW * w_1 / h^2`` on the edge nodes."""
+    d = np.empty_like(w)
+    d[..., 1:-1] = (w[..., :-2] - 2.0 * w[..., 1:-1] + w[..., 2:]) / h**2
+    d[..., 0] = _EDGE_ROW * w[..., 1] / h**2
+    d[..., -1] = _EDGE_ROW * w[..., -2] / h**2
+    return d
+
+
+def _sine_basis(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal sine matrix ``S`` (``S = S^T = S^-1``) and eigenvalues
+    ``lam`` of the Dirichlet second difference ``T`` on ``m`` interior
+    nodes: ``T = S diag(lam) S``."""
+    k = np.arange(1, m + 1)
+    # reduce k l modulo 2(m+1) in integers so every sine is accurate
+    phase = np.outer(k, k) % (2 * (m + 1))
+    s = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi / (m + 1) * phase)
+    lam = -4.0 * np.sin(0.5 * np.pi / (m + 1) * k) ** 2
+    return s, lam
+
+
+def _clamped_biharmonic_unit_load(hx: float, hy: float, m: int) -> np.ndarray:
+    """Solve ``A v = 1`` for the clamped-plate operator on the ``m x m``
+    interior nodes of a grid of spacings ``hx``, ``hy`` (rows along y,
+    columns along x).
+
+    On the interior nodes of a line the clamped fourth difference is
+    ``T^2 + _EDGE_ROW E``, with ``T`` the Dirichlet second difference and
+    ``E`` one at the first and last node only. The plate operator is
+    therefore the squared 5-point Laplacian
+    ``L = I (x) T / hx^2 + T (x) I / hy^2`` plus a diagonal term on the
+    four boundary lines of the interior (Bjorstad, SIAM J. Numer. Anal.
+    20 (1983) 59):
+
+        A = L^2 + P D P^T,   D = _EDGE_ROW / h^4 on each line,
+
+    where ``P`` lifts values on the lines (two rows along x, two columns
+    along y; a corner node lies on two) into the field. ``L^2`` is
+    diagonal in the sine basis, so by the Woodbury identity
+
+        A^-1 1 = u - L^-2 P z,   u = L^-2 1,   (D^-1 + P^T L^-2 P) z = P^T u,
+
+    two sine-basis solves and one dense capacitance system of order
+    ``4 m``. Each block of the capacitance matrix couples two lines and
+    is ``S diag(.) S`` (parallel lines) or ``S K S`` (crossing lines), so
+    the whole solve costs O(m^3).
+    """
+    s, lam = _sine_basis(m)
+    # 1 / mu^2 for the Laplacian eigenvalue mu of mode (p along y, q along x)
+    inv_mu2 = 1.0 / (lam[:, None] / hy**2 + lam[None, :] / hx**2) ** 2
+
+    def inverse_l2(f: np.ndarray) -> np.ndarray:
+        return s @ ((s @ f @ s) * inv_mu2) @ s
+
+    # lines in the order first row, last row, first column, last column;
+    # ends[e] holds the sine modes of the first (e = 0) or last node
+    ends = s[[0, -1]]
+    along_x = np.einsum("ep,fp,pq->efq", ends, ends, inv_mu2)
+    along_y = np.einsum("eq,fq,pq->efp", ends, ends, inv_mu2)
+    cap = np.empty((4, m, 4, m))
+    for e in range(2):
+        for f in range(2):
+            cap[e, :, f, :] = (s * along_x[e, f]) @ s
+            cap[2 + e, :, 2 + f, :] = (s * along_y[e, f]) @ s
+            # read on row e, source on column f
+            cross = s @ (inv_mu2.T * np.outer(ends[f], ends[e])) @ s
+            cap[e, :, 2 + f, :] = cross
+            cap[2 + f, :, e, :] = cross.T
+    cap = cap.reshape(4 * m, 4 * m)
+    cap[np.diag_indices(4 * m)] += np.repeat([hy**4, hy**4, hx**4, hx**4], m) / _EDGE_ROW
+
+    u = inverse_l2(np.ones((m, m)))
+    z = np.linalg.solve(cap, np.concatenate([u[0], u[-1], u[:, 0], u[:, -1]]))
+    lift = np.zeros((m, m))
+    lift[0] += z[:m]
+    lift[-1] += z[m : 2 * m]
+    lift[:, 0] += z[2 * m : 3 * m]
+    lift[:, -1] += z[3 * m :]
+    return u - inverse_l2(lift)
 
 
 @lru_cache(maxsize=32)
 def _unit_solution(side_a: float, side_b: float, grid_n: int):
-    """Solve del^4 v = 1 on the clamped rectangle; cached per geometry.
-
-    The operator on the interior nodes (x varying fastest) is the
-    Kronecker sum of the clamped line differences G:
-    ``A = I (x) D4 / hx^4 + D4 (x) I / hy^4 + 2 D2 (x) D2 / (hx^2 hy^2)``
-    with ``D2 = G[1:n, 1:n]`` and ``D4 = (G G)[1:n, 1:n]``.
-    """
+    """Solve del^4 v = 1 on the clamped rectangle; cached per geometry."""
     n = grid_n
-    hx = side_a / n
-    hy = side_b / n
-    g = _clamped_second_difference(n)
-    d2 = g[1:n, 1:n]
-    d4 = (g @ g)[1:n, 1:n]
-    eye = sparse.identity(n - 1, format="csr")
-    a_mat = (
-        sparse.kron(eye, d4) * (1.0 / hx**4)
-        + sparse.kron(d4, eye) * (1.0 / hy**4)
-        + sparse.kron(d2, d2) * (2.0 / (hx**2 * hy**2))
-    ).tocsr()
-    v_int = spsolve(a_mat, np.ones((n - 1) ** 2))
+    try:
+        with np.errstate(all="ignore"):
+            v_int = _clamped_biharmonic_unit_load(side_a / n, side_b / n, n - 1)
+    except (np.linalg.LinAlgError, OverflowError) as exc:
+        raise SolverError(f"plate system cannot be solved: {exc}") from None
     if not np.all(np.isfinite(v_int)):
         raise SolverError("plate system is singular or ill-conditioned")
 
     v = np.zeros((n + 1, n + 1))
-    v[1:n, 1:n] = v_int.reshape(n - 1, n - 1)
+    v[1:n, 1:n] = v_int
     x = np.linspace(0.0, side_a, n + 1)
     y = np.linspace(0.0, side_b, n + 1)
     for arr in (v, x, y):
@@ -130,9 +195,11 @@ def _unit_solution(side_a: float, side_b: float, grid_n: int):
 
 def _curvatures(w: np.ndarray, hx: float, hy: float):
     """Second differences of the field along x (each row of ``w``) and y
-    (each column), with the solver's clamped line difference."""
-    g = _clamped_second_difference(len(w) - 1)
-    return (g @ w.T).T / hx**2, (g @ w) / hy**2
+    (each column), clamped on all four edges."""
+    return (
+        _clamped_second_difference(w, hx),
+        _clamped_second_difference(w.T, hy).T,
+    )
 
 
 def max_bending_stress(spec: PlateSpec, solution: PlateSolution) -> float:

@@ -70,8 +70,8 @@ from .units import BAR, GPA, MBAR, MINUTE, MM, MPA, NM, SECOND, UM
 DEFAULT_CHAMBER_PRESSURE = 5e-7 * MBAR
 DEFAULT_MOLDING_PRESSURE = 10.0 * MPA
 
-# Resource bounds: a cold plate solve at grid_n = 256 takes about 3 s
-# and 360 MB, the release search on 2048^2 raster cells about 4 s and
+# Resource bounds: a cold plate solve at grid_n = 256 takes about 55 ms
+# and 30 MB, the release search on 2048^2 raster cells about 4 s and
 # 180 MB (the reference recipe: 128 and 160^2).
 MAX_GRID_N = 256
 MAX_RASTER_CELLS = 2**22
@@ -463,13 +463,14 @@ def parse_recipe(text: str, *, base_dir: "Path | str | None" = None) -> Recipe:
             raise RecipeError(
                 f"line {section_lines['stack']}: [stack] is missing required key {key!r}"
             )
-        kind = _FIELDS[f"stack.{key}"][0]
-        thicknesses[key] = parse_quantity(entry.value, kind, f"line {entry.lineno}: {key}")
+        where = f"line {entry.lineno}: {key}"
+        thicknesses[key] = parse_quantity(entry.value, _FIELDS[f"stack.{key}"][0], where)
+        try:
+            PackageStack.check_thickness(key, thicknesses[key])
+        except ValueError as exc:
+            raise RecipeError(f"{where}: {exc}") from None
     _reject_unknown(stack_entries, "stack")
-    try:
-        stack = PackageStack(cavity_footprint=footprint, **thicknesses)
-    except ValueError as exc:
-        raise RecipeError(f"[stack]: {exc}") from None
+    stack = PackageStack(cavity_footprint=footprint, **thicknesses)
 
     if "holes" not in sections:
         raise RecipeError("missing required section [holes]")

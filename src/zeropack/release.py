@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import CalibrationError, DataFileError, ReleaseTooSlowError
 from .geometry import (
@@ -304,6 +303,10 @@ def calibrate_etch(
         trial["intrinsic_rate"] = max(trial["intrinsic_rate"], rate_floor)
         p = EtchParams(**trial)
         return np.array([_predicted(p, o) - o.underetch for o in obs]) / UM
+
+    # imported here, not at module level: only calibration needs scipy,
+    # so importing the package (and every simulate) stays scipy-free
+    from scipy.optimize import least_squares
 
     fit = None
     for k in range(1, len(free) + 1):

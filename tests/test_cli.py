@@ -5,9 +5,11 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import FAST_RECIPE, REFERENCE_RECIPE, REPO, SRC
+from zeropack import mechanics
 from zeropack import release as release_mod
 from zeropack.cli import main
 from zeropack.pipeline import parse_tabular_report
@@ -119,6 +121,15 @@ class TestSimulate:
         out, err = capsys.readouterr()
         assert out == ""
         assert "etch front overflows" in err
+
+    def test_plate_solver_failure_exits_three(self, fast_recipe_file, monkeypatch, capsys):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        mechanics._unit_solution.cache_clear()  # force a cold solve
+        assert main(["simulate", str(fast_recipe_file)]) == 3
+        assert "model error: molding: plate system cannot be solved" in capsys.readouterr().err
 
     def test_uncloggable_exits_three(self, tmp_path, capsys):
         text = FAST_RECIPE.replace(
@@ -342,3 +353,15 @@ def test_module_entry_point(fast_recipe_file):
     )
     assert proc.returncode == 0
     assert "release time" in proc.stdout
+
+
+def test_import_loads_no_scipy():
+    # scipy is needed only to calibrate; simulate must not pay its import
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = (
+        "import sys, zeropack, zeropack.cli\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

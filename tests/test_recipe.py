@@ -429,10 +429,8 @@ class TestRecipeLinesAndSweepsAgree:
     @pytest.mark.parametrize("path", sorted(ALL_VALUES))
     def test_out_of_range_rejected_on_both_routes(self, path):
         bad = ALL_VALUES[path][1]
-        section, key = path.split(".", 1)
-        # [stack] is checked as a whole, once all three thicknesses are read
-        line = r"\[stack\]" if section == "stack" else rf"line \d+: {re.escape(key)}"
-        with pytest.raises(RecipeError, match=rf"^{line}: "):
+        key = path.split(".", 1)[1]
+        with pytest.raises(RecipeError, match=rf"^line \d+: {re.escape(key)}: "):
             parse_recipe(with_line(path, bad))
         with pytest.raises(RecipeError, match=rf"^{re.escape(path)} = "):
             swept(path, bad)
