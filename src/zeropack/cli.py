@@ -9,8 +9,9 @@ Subcommands::
 
 Common options: ``--format {text,tabular}`` and ``--out <file>``.
 
-Exit codes: 0 success, 1 a pass/fail constraint failed, 2 input error,
-3 model error (release too slow, hole does not seal, solver failure).
+Exit codes: 0 success, 1 a pass/fail constraint failed, 2 input error
+(also a path that cannot be read or written), 3 model error (release too
+slow, hole does not seal, solver failure, a result that is not finite).
 """
 
 from __future__ import annotations
@@ -19,15 +20,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import (
-    CalibrationError,
-    DataFileError,
-    DesignError,
-    RecipeError,
-    ReleaseTooSlowError,
-    SolverError,
-    UncloggableError,
-)
+from .errors import ZeropackError
 from .mechanics import dump_deflection
 from .mechanics import solve_plate  # noqa: F401 - perfbench's tracer wraps cli.solve_plate
 from .pipeline import (
@@ -46,17 +39,6 @@ from .units import MINUTE, MPA, NM, UM
 EXIT_OK = 0
 EXIT_CONSTRAINT = 1
 EXIT_INPUT = 2
-EXIT_MODEL = 3
-
-_INPUT_ERRORS = (
-    RecipeError,
-    DataFileError,
-    CalibrationError,
-    FileNotFoundError,
-    IsADirectoryError,
-    ValueError,
-)
-_MODEL_ERRORS = (ReleaseTooSlowError, UncloggableError, SolverError, DesignError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -117,7 +99,7 @@ def _cmd_sweep(args) -> int:
     kind = param_kind(args.param)
     labels = [tok.strip() for tok in args.values.split(",") if tok.strip()]
     if not labels:
-        raise RecipeError("--values must list at least one quantity")
+        raise ValueError("--values must list at least one quantity")
     values = [parse_quantity(tok, kind, f"--values entry {tok!r}") for tok in labels]
     rows = sweep(recipe, args.param, values, labels=labels, max_workers=args.workers)
     _write(emit_sweep(rows, args.format), args.out)
@@ -188,10 +170,11 @@ def main(argv: "list[str] | None" = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except _MODEL_ERRORS as exc:
-        print(f"zeropack: model error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
-    except _INPUT_ERRORS as exc:
+    except ZeropackError as exc:
+        print(f"zeropack: {exc.kind} error: {exc}", file=sys.stderr)
+        return exc.exit_status
+    except (OSError, ValueError) as exc:
+        # an unreadable or unwritable path, or a bad argument value
         print(f"zeropack: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

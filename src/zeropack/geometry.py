@@ -46,6 +46,10 @@ class Hole:
             raise ValueError(f"{self.shape} holes have a single dimension")
         if self.width > self.length:
             raise ValueError("rectangle holes must satisfy width <= length")
+        # the etch feed divides by the area; width * length overflows or
+        # rounds to 0 exactly when hole_area does (pi/4 of it for a circle)
+        if not 0.0 < self.width * self.length < math.inf:
+            raise ValueError("hole area must be a positive finite number")
 
     @classmethod
     def circle(cls, diameter: float, center: tuple[float, float] = (0.0, 0.0)) -> "Hole":

@@ -18,6 +18,7 @@ clamped plate the maximum sits at the mid-edge.
 
 from __future__ import annotations
 
+import math
 import threading
 import warnings
 from dataclasses import dataclass
@@ -225,14 +226,20 @@ def solve_plate(spec: PlateSpec, grid_n: int = 128) -> PlateSolution:
         raise ValueError(f"grid_n must be >= {MIN_GRID_N}")
     with _UNIT_SOLUTION_LOCK:
         x, y, v = _unit_solution(spec.side_a, spec.side_b, grid_n)
-    w = v * (spec.pressure / flexural_rigidity(spec.material, spec.thickness))
+    # an overflowing q / D or t^3 turns the clamped edges' zeros into nan;
+    # the deflection must stay finite in nm, the unit it is reported in
+    try:
+        with np.errstate(all="ignore"):
+            w = v * (spec.pressure / flexural_rigidity(spec.material, spec.thickness))
+            w_max = float(np.abs(w).max())
+            sigma_max = _peak_stress(spec, w, grid_n)
+        finite = math.isfinite(w_max / NM) and math.isfinite(sigma_max)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise SolverError("plate deflection or stress is not finite")
     return PlateSolution(
-        x=x,
-        y=y,
-        deflection=w,
-        w_max=float(np.abs(w).max()),
-        sigma_max=_peak_stress(spec, w, grid_n),
-        grid_n=grid_n,
+        x=x, y=y, deflection=w, w_max=w_max, sigma_max=sigma_max, grid_n=grid_n
     )
 
 

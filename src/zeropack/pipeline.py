@@ -10,12 +10,13 @@ text/tabular report formats.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import clogging as clog_mod
 from . import release as release_mod
-from .errors import ZeropackError
+from .errors import ModelError, located
 from .mechanics import PlateSpec, solve_plate
 from .recipe import Recipe, _field_kind, _set_field
 from .units import MBAR, MINUTE, MPA, NM, UM
@@ -61,13 +62,6 @@ class ProcessReport:
         return all(self.checks.values())
 
 
-def _stage(label: str, fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except ZeropackError as exc:
-        raise type(exc)(f"{label}: {exc}") from exc
-
-
 def _molding(recipe: Recipe):
     """Molding stage: the sealed cap (structural film plus the clog
     deposition) under the molding load, checked against its limits.
@@ -84,7 +78,8 @@ def _molding(recipe: Recipe):
         material=structural,
         pressure=recipe.molding.pressure,
     )
-    solution = _stage("molding", solve_plate, plate, recipe.molding.grid_n)
+    with located("molding"):
+        solution = solve_plate(plate, recipe.molding.grid_n)
     limit = recipe.molding.max_deflection
     return plate, solution, {
         "deflection": limit is None or solution.w_max <= limit,
@@ -103,39 +98,33 @@ def run_recipe(recipe: Recipe) -> ProcessReport:
     structural = recipe.material("structural")
     sealing = recipe.material("sealing")
 
-    release_time, structural_loss = _stage(
-        "release",
-        release_mod.time_to_release,
-        stack.cavity_footprint,
-        holes,
-        stack,
-        recipe.etch,
-        structural,
-        max_time=recipe.etch_max_time,
-        grid_pitch=recipe.coverage_pitch,
-    )
+    with located("release"):
+        release_time, structural_loss = release_mod.time_to_release(
+            stack.cavity_footprint,
+            holes,
+            stack,
+            recipe.etch,
+            structural,
+            max_time=recipe.etch_max_time,
+            grid_pitch=recipe.coverage_pitch,
+        )
+        probe_u = None
+        if recipe.probe_time is not None:
+            probe_u = max(
+                release_mod.underetch(h, stack, recipe.etch, recipe.probe_time) for h in holes
+            )
 
-    probe_u = None
-    if recipe.probe_time is not None:
-        probe_u = max(
-            _stage(
-                "release", release_mod.underetch, h, stack, recipe.etch, recipe.probe_time
+    with located("clogging"):
+        clog_thickness = tuple(
+            clog_mod.thickness_to_clog(
+                h,
+                stack.cap_thickness,
+                sealing,
+                recipe.clog,
+                max_deposition=recipe.max_deposition,
             )
             for h in holes
         )
-
-    clog_thickness = tuple(
-        _stage(
-            "clogging",
-            clog_mod.thickness_to_clog,
-            h,
-            stack.cap_thickness,
-            sealing,
-            recipe.clog,
-            max_deposition=recipe.max_deposition,
-        )
-        for h in holes
-    )
     remaining = tuple(
         clog_mod.aperture_after(
             h, stack.cap_thickness, stack.clog_deposition, sealing, recipe.clog
@@ -152,7 +141,7 @@ def run_recipe(recipe: Recipe) -> ProcessReport:
 
     _, solution, molding_checks = _molding(recipe)
     checks = {"sealed": stack.clog_deposition >= governing, **molding_checks}
-    return ProcessReport(
+    report = ProcessReport(
         release_time=release_time,
         structural_loss=structural_loss,
         clog_thickness=clog_thickness,
@@ -167,6 +156,11 @@ def run_recipe(recipe: Recipe) -> ProcessReport:
         probe_time=recipe.probe_time,
         probe_underetch=probe_u,
     )
+    # every report format prints these values, so each must be finite
+    for name, unit, value in _report_values(report):
+        if not math.isfinite(value):
+            raise ModelError(f"{name} is not finite in {unit}")
+    return report
 
 
 def param_kind(path: str) -> str:
@@ -218,31 +212,35 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _report_rows(report: ProcessReport) -> list[tuple[str, str, str]]:
+def _report_values(report: ProcessReport) -> list[tuple[str, str, float]]:
+    """The numeric rows of a report: field, units, value in those units."""
     rows = [
-        ("release_time", "min", _fmt(report.release_time / MINUTE)),
-        ("structural_loss", "nm", _fmt(report.structural_loss / NM)),
-        ("governing_clog", "um", _fmt(report.governing_clog / UM)),
+        ("release_time", "min", report.release_time / MINUTE),
+        ("structural_loss", "nm", report.structural_loss / NM),
+        ("governing_clog", "um", report.governing_clog / UM),
     ]
-    for i, t in enumerate(report.clog_thickness):
-        rows.append((f"clog_thickness[{i}]", "um", _fmt(t / UM)))
-    for i, a in enumerate(report.remaining_aperture):
-        rows.append((f"remaining_aperture[{i}]", "nm", _fmt(a / NM)))
-    for i, r in enumerate(report.residue_thickness):
-        rows.append((f"residue_thickness[{i}]", "nm", _fmt(r / NM)))
-    for i, f in enumerate(report.residue_footprint):
-        rows.append((f"residue_footprint[{i}]", "um", _fmt(f / UM)))
+    for name, unit, scale, values in (
+        ("clog_thickness", "um", UM, report.clog_thickness),
+        ("remaining_aperture", "nm", NM, report.remaining_aperture),
+        ("residue_thickness", "nm", NM, report.residue_thickness),
+        ("residue_footprint", "um", UM, report.residue_footprint),
+    ):
+        rows += [(f"{name}[{i}]", unit, v / scale) for i, v in enumerate(values)]
     rows += [
-        ("cavity_pressure", "mbar", _fmt(report.cavity_pressure / MBAR)),
-        ("molding_deflection", "nm", _fmt(report.molding_deflection / NM)),
-        ("molding_stress", "MPa", _fmt(report.molding_stress / MPA)),
+        ("cavity_pressure", "mbar", report.cavity_pressure / MBAR),
+        ("molding_deflection", "nm", report.molding_deflection / NM),
+        ("molding_stress", "MPa", report.molding_stress / MPA),
     ]
     if report.probe_time is not None:
-        rows.append(("probe_time", "min", _fmt(report.probe_time / MINUTE)))
+        rows.append(("probe_time", "min", report.probe_time / MINUTE))
     if report.probe_underetch is not None:
-        rows.append(("probe_underetch", "um", _fmt(report.probe_underetch / UM)))
-    for name, ok in report.checks.items():
-        rows.append((f"check_{name}", "-", "1" if ok else "0"))
+        rows.append(("probe_underetch", "um", report.probe_underetch / UM))
+    return rows
+
+
+def _report_rows(report: ProcessReport) -> list[tuple[str, str, str]]:
+    rows = [(name, unit, _fmt(value)) for name, unit, value in _report_values(report)]
+    rows += [(f"check_{name}", "-", "1" if ok else "0") for name, ok in report.checks.items()]
     rows.append(("passed", "-", "1" if report.passed else "0"))
     return rows
 

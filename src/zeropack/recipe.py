@@ -45,7 +45,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .clogging import DEFAULT_MAX_DEPOSITION, ClogParams
-from .errors import RecipeError
+from .errors import RecipeError, located
 from .geometry import (
     _HOLE_SHAPES,
     Hole,
@@ -305,12 +305,6 @@ def _tokenize(text: str):
     return sections, hole_entries, section_lines
 
 
-def _require(sections, section_lines, name: str):
-    if name not in sections:
-        raise RecipeError(f"missing required section [{name}]")
-    return sections[name]
-
-
 def _reject_unknown(entries: dict[str, _Entry], section: str) -> None:
     if entries:
         key, entry = next(iter(entries.items()))
@@ -347,11 +341,12 @@ def _resize_hole(hole: Hole, dim: str, value: float) -> Hole:
 def _set_field(recipe: Recipe, path: str, value: float, where: str) -> Recipe:
     """Copy of ``recipe`` with the field at ``path`` set to ``value`` (SI).
 
-    Out-of-range values fail the owning dataclass's own checks and are
-    reported as ``RecipeError`` prefixed with ``where``.
+    Out-of-range values fail the owning dataclass's own checks; these and
+    a bad hole index or dimension are reported as ``RecipeError``
+    prefixed with ``where``.
     """
     _field_kind(path)
-    try:
+    with located(where, RecipeError):
         if path.startswith("materials."):
             name, prop = _MATERIALS_PATH_RE.fullmatch(path).groups()
             material = replace(recipe.materials[name], **{prop: value})
@@ -368,35 +363,30 @@ def _set_field(recipe: Recipe, path: str, value: float, where: str) -> Recipe:
         outer, _, inner = _FIELDS[path][1].partition(".")
         new = replace(getattr(recipe, outer), **{inner: value}) if inner else value
         return replace(recipe, **{outer: new})
-    except ValueError as exc:
-        raise RecipeError(f"{where}: {exc}") from None
 
 
 def _parse_hole(entry: _Entry) -> Hole:
     tokens = entry.value.split()
-    where = f"line {entry.lineno}"
-    if not tokens:
-        raise RecipeError(f"{where}: empty hole definition")
-    shape, attr_tokens = tokens[0], tokens[1:]
-    if shape not in _HOLE_SHAPES:
-        raise RecipeError(f"{where}: unknown hole shape {shape!r}")
-    make, dims = _HOLE_SHAPES[shape]
-    attrs: dict[str, float] = {}
-    for token in attr_tokens:
-        key, eq, value = token.partition("=")
-        if not eq or key not in dims + ("x", "y"):
-            raise RecipeError(f"{where}: bad hole attribute {token!r}")
-        if key in attrs:
-            raise RecipeError(f"{where}: duplicate hole attribute {key!r}")
-        attrs[key] = parse_quantity(value, "length", f"{where}: {key}")
-    for key in dims:
-        if key not in attrs:
-            raise RecipeError(f"{where}: {shape} hole needs {key}=<length>")
-    center = (attrs.get("x", 0.0), attrs.get("y", 0.0))
-    try:
+    with located(f"line {entry.lineno}", RecipeError):
+        if not tokens:
+            raise RecipeError("empty hole definition")
+        shape, attr_tokens = tokens[0], tokens[1:]
+        if shape not in _HOLE_SHAPES:
+            raise RecipeError(f"unknown hole shape {shape!r}")
+        make, dims = _HOLE_SHAPES[shape]
+        attrs: dict[str, float] = {}
+        for token in attr_tokens:
+            key, eq, value = token.partition("=")
+            if not eq or key not in dims + ("x", "y"):
+                raise RecipeError(f"bad hole attribute {token!r}")
+            if key in attrs:
+                raise RecipeError(f"duplicate hole attribute {key!r}")
+            attrs[key] = parse_quantity(value, "length", key)
+        for key in dims:
+            if key not in attrs:
+                raise RecipeError(f"{shape} hole needs {key}=<length>")
+        center = (attrs.get("x", 0.0), attrs.get("y", 0.0))
         return make(*(attrs[key] for key in dims), center)
-    except ValueError as exc:
-        raise RecipeError(f"{where}: {exc}") from None
 
 
 def _parse_footprint(entry: _Entry) -> Rect:
@@ -406,10 +396,8 @@ def _parse_footprint(entry: _Entry) -> Rect:
         raise RecipeError(f"{where}: expected '<width> x <length>'")
     width = parse_quantity(tokens[0], "length", where)
     length = parse_quantity(tokens[2], "length", where)
-    try:
+    with located(where, RecipeError):
         return Rect(width, length)
-    except ValueError as exc:
-        raise RecipeError(f"{where}: {exc}") from None
 
 
 def _material_roles(entries: dict[str, _Entry]) -> dict[str, str]:
@@ -445,35 +433,31 @@ def parse_recipe(text: str, *, base_dir: "Path | str | None" = None) -> Recipe:
     """
     base = Path(base_dir) if base_dir is not None else Path(".")
     sections, hole_entries, section_lines = _tokenize(text)
+    for name in ("stack", "holes"):
+        if name not in sections:
+            raise RecipeError(f"missing required section [{name}]")
 
     material_entries = dict(sections.get("materials", {}))
     roles = _material_roles(material_entries)
 
-    stack_entries = dict(_require(sections, section_lines, "stack"))
-    footprint_entry = stack_entries.pop("footprint", None)
-    if footprint_entry is None:
-        raise RecipeError(
-            f"line {section_lines['stack']}: [stack] is missing required key 'footprint'"
-        )
-    footprint = _parse_footprint(footprint_entry)
-    thicknesses = {}
-    for key in ("sacrificial_thickness", "cap_thickness", "clog_deposition"):
-        entry = stack_entries.pop(key, None)
-        if entry is None:
+    stack_entries = dict(sections["stack"])
+    thickness_keys = ("sacrificial_thickness", "cap_thickness", "clog_deposition")
+    for key in ("footprint", *thickness_keys):
+        if key not in stack_entries:
             raise RecipeError(
                 f"line {section_lines['stack']}: [stack] is missing required key {key!r}"
             )
+    footprint = _parse_footprint(stack_entries.pop("footprint"))
+    thicknesses = {}
+    for key in thickness_keys:
+        entry = stack_entries.pop(key)
         where = f"line {entry.lineno}: {key}"
         thicknesses[key] = parse_quantity(entry.value, _FIELDS[f"stack.{key}"][0], where)
-        try:
+        with located(where, RecipeError):
             PackageStack.check_thickness(key, thicknesses[key])
-        except ValueError as exc:
-            raise RecipeError(f"{where}: {exc}") from None
     _reject_unknown(stack_entries, "stack")
     stack = PackageStack(cavity_footprint=footprint, **thicknesses)
 
-    if "holes" not in sections:
-        raise RecipeError("missing required section [holes]")
     _reject_unknown(sections["holes"], "holes")
     if not hole_entries:
         raise RecipeError(
@@ -493,7 +477,7 @@ def parse_recipe(text: str, *, base_dir: "Path | str | None" = None) -> Recipe:
     pitch_entry = release.pop("coverage_pitch", None)
     where = "[holes]" if pitch_entry is None else f"line {pitch_entry.lineno}: coverage_pitch"
     pitch = None if pitch_entry is None else parse_quantity(pitch_entry.value, "length", where)
-    try:
+    with located(where, RecipeError):
         recipe = Recipe(
             materials=standard_materials(),
             sacrificial=roles["sacrificial"],
@@ -504,8 +488,6 @@ def parse_recipe(text: str, *, base_dir: "Path | str | None" = None) -> Recipe:
             etch=etch,
             coverage_pitch=pitch,
         )
-    except ValueError as exc:
-        raise RecipeError(f"{where}: {exc}") from None
     for section, entries in (
         ("materials", material_entries),
         ("release", release),
@@ -518,10 +500,8 @@ def parse_recipe(text: str, *, base_dir: "Path | str | None" = None) -> Recipe:
             if path not in _FIELDS and not (section == "materials" and "." in key):
                 raise RecipeError(f"line {entry.lineno}: unknown key {key!r} in [{section}]")
             where = f"line {entry.lineno}: {key}"
-            try:
+            with located(where):
                 kind = _field_kind(path)
-            except RecipeError as exc:
-                raise RecipeError(f"{where}: {exc}") from None
             value = parse_quantity(entry.value, kind, where)
             recipe = _set_field(recipe, path, value, where)
     return recipe

@@ -31,7 +31,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import CalibrationError, DataFileError, ReleaseTooSlowError
+from .errors import CalibrationError, DataFileError, ReleaseTooSlowError, located
 from .geometry import (
     Hole,
     Material,
@@ -275,8 +275,6 @@ def calibrate_etch(
             f"under-determined: {len(obs)} observations for {len(free)} free parameters"
         )
     if len(free) == 3:
-        if len(obs) < 3:
-            raise CalibrationError("need at least 3 observations for a full fit")
         areas = {round(hole_area(o.hole) / (1e-9 * UM**2)) for o in obs}
         if len(areas) < 2:
             raise CalibrationError("observations must span at least 2 hole sizes")
@@ -346,19 +344,14 @@ def _parse_observations(text: str, source: str) -> list[EtchObservation]:
         if not line or line.startswith("#"):
             continue
         parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 6:
-            raise DataFileError(
-                f"{source}:{lineno}: expected 6 comma-separated fields, got {len(parts)}"
-            )
-        shape = parts[0]
-        try:
+        with located(f"{source}:{lineno}", DataFileError):
+            if len(parts) != 6:
+                raise DataFileError(f"expected 6 comma-separated fields, got {len(parts)}")
+            shape = parts[0]
             dim1, dim2, h_s, t, u = (float(p) for p in parts[1:])
-        except ValueError as exc:
-            raise DataFileError(f"{source}:{lineno}: {exc}") from None
-        if shape not in _HOLE_SHAPES:
-            raise DataFileError(f"{source}:{lineno}: unknown shape {shape!r}")
-        make, dims = _HOLE_SHAPES[shape]
-        try:
+            if shape not in _HOLE_SHAPES:
+                raise DataFileError(f"unknown shape {shape!r}")
+            make, dims = _HOLE_SHAPES[shape]
             hole = make(*(d * UM for d in (dim1, dim2)[: len(dims)]))
             out.append(
                 EtchObservation(
@@ -368,8 +361,6 @@ def _parse_observations(text: str, source: str) -> list[EtchObservation]:
                     underetch=u * UM,
                 )
             )
-        except ValueError as exc:
-            raise DataFileError(f"{source}:{lineno}: {exc}") from None
     return out
 
 

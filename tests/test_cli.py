@@ -180,6 +180,20 @@ class TestSweep:
         assert code == 2
         assert "not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            ("holes[3].diameter", "hole index 3 out of range"),
+            ("holes.width", "circle holes have no 'width' dimension"),
+        ],
+    )
+    def test_setter_errors_name_the_value(self, fast_recipe_file, capsys, path, message):
+        # like a range error, an error of the setter itself names the
+        # swept value as the user wrote it
+        code = main(["sweep", str(fast_recipe_file), "--param", path, "--values", "1um"])
+        assert code == 2
+        assert capsys.readouterr().err == f"zeropack: input error: {path} = 1um: {message}\n"
+
     def test_workers_give_identical_output(self, fast_recipe_file, capsys):
         args = [
             "sweep",
@@ -365,3 +379,156 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# recipe edits that printed nan or inf, or escaped as a traceback:
+# (id, command, recipe text, exit status, start of the error message)
+MATERIALS = "[materials]\n"
+HOSTILE = [
+    (
+        "pressure-simulate",
+        "simulate",
+        FAST_RECIPE.replace("pressure = 10MPa", "pressure = 1e300MPa"),
+        3,
+        "model error: molding: ",
+    ),
+    (
+        "pressure-check-molding",
+        "check-molding",
+        FAST_RECIPE.replace("pressure = 10MPa", "pressure = 1e300MPa"),
+        3,
+        "model error: molding: ",
+    ),
+    (
+        "youngs-modulus-simulate",
+        "simulate",
+        MATERIALS + "sio2_sputter.youngs_modulus = 1e-300GPa\n" + FAST_RECIPE,
+        3,
+        "model error: molding: ",
+    ),
+    (
+        "youngs-modulus-check-molding",
+        "check-molding",
+        MATERIALS + "sio2_sputter.youngs_modulus = 1e-300GPa\n" + FAST_RECIPE,
+        3,
+        "model error: molding: ",
+    ),
+    (
+        "selectivity-loss",
+        "simulate",
+        MATERIALS + "sio2_sputter.selectivity_loss = 1e305um/min\n" + FAST_RECIPE,
+        3,
+        "model error: structural_loss ",
+    ),
+    (
+        "cap-thickness",
+        "simulate",
+        FAST_RECIPE.replace("cap_thickness = 2um", "cap_thickness = 1e300um"),
+        3,
+        "model error: molding: ",
+    ),
+    (
+        "clog-deposition",
+        "simulate",
+        FAST_RECIPE.replace("clog_deposition = 2.5um", "clog_deposition = 1e300um"),
+        3,
+        "model error: molding: ",
+    ),
+    (
+        "huge-hole",
+        "simulate",
+        FAST_RECIPE.replace("6um x 6um", "1e300um x 1e300um").replace(
+            "diameter=2um", "diameter=1e300um"
+        ),
+        2,
+        "input error: line 8: ",
+    ),
+    (
+        "tiny-hole",
+        "simulate",
+        FAST_RECIPE.replace("diameter=2um", "diameter=1e-170um").replace(
+            "probe_time = 2min", "coverage_pitch = 0.5um"
+        ),
+        2,
+        "input error: line 8: ",
+    ),
+]
+
+
+def assert_clean_exit(code, out, err):
+    """Exit status in the contract, no nan or inf printed, and an error
+    reported on one line of its own."""
+    assert code in (0, 1, 2, 3)
+    assert "nan" not in out and "inf" not in out
+    assert "Traceback" not in err
+    if code >= 2:
+        assert out == ""
+        assert err.splitlines()[-1].startswith(("zeropack: input error: ", "zeropack: model error: "))
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize(
+        "command, text, status, message",
+        [case[1:] for case in HOSTILE],
+        ids=[case[0] for case in HOSTILE],
+    )
+    def test_recipe_exits_with_its_status(self, tmp_path, capsys, command, text, status, message):
+        recipe = tmp_path / "hostile.recipe"
+        recipe.write_text(text)
+        code = main([command, str(recipe), "--format", "tabular"])
+        out, err = capsys.readouterr()
+        assert code == status
+        assert_clean_exit(code, out, err)
+        assert err.splitlines()[-1].startswith(f"zeropack: {message}")
+
+    @pytest.mark.parametrize(
+        "args",
+        [["simulate", "{recipe}", "--out", "{file}/x.csv"], ["simulate", "{file}/x.recipe"]],
+        ids=["out-below-a-file", "recipe-below-a-file"],
+    )
+    def test_path_below_a_regular_file_exits_two(self, fast_recipe_file, tmp_path, capsys, args):
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        code = main([a.format(recipe=fast_recipe_file, file=plain) for a in args])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert_clean_exit(code, out, err)
+        assert "Not a directory" in err
+
+
+def _grid_units():
+    from zeropack.recipe import _FIELDS, _MATERIAL_FIELD_KINDS
+
+    unit = {"length": "um", "time": "min", "pressure": "MPa", "rate": "um/min"}
+    paths = {path: kind for path, (kind, _) in _FIELDS.items()}
+    for material in ("asi", "sio2_sputter"):  # the roles of FAST_RECIPE
+        for prop, kind in _MATERIAL_FIELD_KINDS.items():
+            paths[f"materials.{material}.{prop}"] = kind
+    return {path: unit.get(kind, "") for path, kind in sorted(paths.items())}
+
+
+GRID_UNITS = _grid_units()
+
+
+def with_line(path, value):
+    """FAST_RECIPE with ``path`` set by a recipe line, replacing its own."""
+    section, key = path.split(".", 1)
+    lines = FAST_RECIPE.splitlines()
+    for i, line in enumerate(lines):
+        if line.partition("=")[0].strip() == key:
+            lines[i] = f"{key} = {value}"
+            return "\n".join(lines) + "\n"
+    return f"[{section}]\n{key} = {value}\n\n" + FAST_RECIPE
+
+
+class TestExtremeValueGrid:
+    # each numeric recipe key at each end of the float range: whatever
+    # the outcome, it is an exit status of the contract
+    @pytest.mark.parametrize("magnitude", ["1e-300", "1e300"])
+    @pytest.mark.parametrize("path", sorted(GRID_UNITS))
+    def test_exits_in_the_contract(self, tmp_path, capsys, path, magnitude):
+        recipe = tmp_path / "extreme.recipe"
+        recipe.write_text(with_line(path, magnitude + GRID_UNITS[path]))
+        code = main(["simulate", str(recipe), "--format", "tabular"])
+        out, err = capsys.readouterr()
+        assert_clean_exit(code, out, err)
