@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from .errors import ZeropackError
@@ -160,6 +161,12 @@ def _cmd_check_molding(args) -> int:
     return EXIT_OK if passed else EXIT_CONSTRAINT
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a warning on one line of its own, like the error messages,
+    instead of Python's file, line number and source line."""
+    print(f"zeropack: warning: {message}", file=sys.stderr)
+
+
 def main(argv: "list[str] | None" = None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {
@@ -168,15 +175,17 @@ def main(argv: "list[str] | None" = None) -> int:
         "calibrate-etch": _cmd_calibrate,
         "check-molding": _cmd_check_molding,
     }
-    try:
-        return handlers[args.command](args)
-    except ZeropackError as exc:
-        print(f"zeropack: {exc.kind} error: {exc}", file=sys.stderr)
-        return exc.exit_status
-    except (OSError, ValueError) as exc:
-        # an unreadable or unwritable path, or a bad argument value
-        print(f"zeropack: input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return handlers[args.command](args)
+        except ZeropackError as exc:
+            print(f"zeropack: {exc.kind} error: {exc}", file=sys.stderr)
+            return exc.exit_status
+        except (OSError, ValueError) as exc:
+            # an unreadable or unwritable path, or a bad argument value
+            print(f"zeropack: input error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -320,6 +320,77 @@ def _released(
     return fraction is not None and fraction >= 1.0
 
 
+@dataclass(frozen=True, eq=False)
+class _Raster:
+    """The coverage raster of one footprint: cell centres ``xs``, ``ys``
+    and the holes in coordinates relative to the footprint corner, so
+    rigid translations of footprint and holes cancel exactly."""
+
+    xs: np.ndarray
+    ys: np.ndarray
+    holes: tuple[Hole, ...]
+    half_diag: float
+    ramp: float
+    offsets: tuple[np.ndarray, np.ndarray]
+
+    def windows(self, reach: np.ndarray) -> list[tuple[int, int, int, int]]:
+        """Per hole, (first column, end column, first row, end row) of the
+        cells whose centre lies within the hole's half extent plus its
+        ``reach`` plus a margin of two cell half-diagonals and one ramp
+        width, per axis."""
+        margin = 2.0 * self.half_diag + self.ramp
+        cx, cy, half_w, half_l = np.array(
+            [(h.center[0], h.center[1], 0.5 * h.width, 0.5 * h.length) for h in self.holes]
+        ).T
+        rx = half_w + reach + margin
+        ry = half_l + reach + margin
+        c0, c1 = np.searchsorted(self.xs, (cx - rx, cx + rx))
+        r0, r1 = np.searchsorted(self.ys, (cy - ry, cy + ry))
+        return list(zip(c0.tolist(), c1.tolist(), r0.tolist(), r1.tolist()))
+
+    def centres(self, window: tuple[int, int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """Cell-centre coordinates of a window, broadcasting to its cells."""
+        c0, c1, r0, r1 = window
+        return self.xs[c0:c1][None, :], self.ys[r0:r1][:, None]
+
+    def subsample_min(self, windows, rows: np.ndarray, cols: np.ndarray, field) -> np.ndarray:
+        """Per listed cell and subsample point, the least ``field(k, x, y)``
+        over the holes ``k`` whose window holds the cell; inf where none
+        does. ``rows`` and ``cols`` list the cells."""
+        out = np.full((rows.size, _SUBSAMPLE * _SUBSAMPLE), np.inf)
+        ox, oy = self.offsets
+        for k, (c0, c1, r0, r1) in enumerate(windows):
+            near = np.flatnonzero((cols >= c0) & (cols < c1) & (rows >= r0) & (rows < r1))
+            if near.size:
+                d = field(k, self.xs[cols[near], None] + ox, self.ys[rows[near], None] + oy)
+                out[near] = np.minimum(out[near], d)
+        return out
+
+
+def _raster(
+    footprint: Rect, holes: list[Hole] | tuple[Hole, ...], grid_pitch: float
+) -> _Raster:
+    """The raster of cells at most ``grid_pitch`` wide over ``footprint``."""
+    nx, ny = _raster_shape(footprint, grid_pitch)
+    px = footprint.width / nx
+    py = footprint.length / ny
+    x0 = footprint.center[0] - 0.5 * footprint.width
+    y0 = footprint.center[1] - 0.5 * footprint.length
+    offsets = (np.arange(_SUBSAMPLE) + 0.5) / _SUBSAMPLE - 0.5
+    ox, oy = (o.ravel() for o in np.meshgrid(offsets, offsets))
+    return _Raster(
+        xs=(np.arange(nx) + 0.5) * px,
+        ys=(np.arange(ny) + 0.5) * py,
+        holes=tuple(
+            Hole(h.shape, h.width, h.length, (h.center[0] - x0, h.center[1] - y0))
+            for h in holes
+        ),
+        half_diag=0.5 * math.hypot(px, py),
+        ramp=0.5 * (px + py) / _SUBSAMPLE,
+        offsets=(ox * px, oy * py),
+    )
+
+
 def _coverage(
     footprint: Rect,
     holes: list[Hole] | tuple[Hole, ...],
@@ -339,36 +410,14 @@ def _coverage(
     if np.any(u < 0.0):
         raise ValueError("underetch distances must be >= 0")
 
-    nx, ny = _raster_shape(footprint, grid_pitch)
-    px = footprint.width / nx
-    py = footprint.length / ny
-    # Coordinates relative to the footprint corner so rigid translations
-    # of footprint and holes cancel exactly.
-    xs = (np.arange(nx) + 0.5) * px
-    ys = (np.arange(ny) + 0.5) * py
-    x0 = footprint.center[0] - 0.5 * footprint.width
-    y0 = footprint.center[1] - 0.5 * footprint.length
-    rel_holes = [
-        Hole(h.shape, h.width, h.length, (h.center[0] - x0, h.center[1] - y0))
-        for h in holes
-    ]
-    half_diag = 0.5 * math.hypot(px, py)
-    ramp = 0.5 * (px + py) / _SUBSAMPLE
-    margin = 2.0 * half_diag + ramp
-
-    # windows[k] = (first column, end column, first row, end row) of the
-    # cells hole k can reach
-    windows = []
-    dist = np.full((ny, nx), np.inf)
-    for hole, ui in zip(rel_holes, u):
-        rx = 0.5 * hole.width + ui + margin
-        ry = 0.5 * hole.length + ui + margin
-        c0, c1 = np.searchsorted(xs, (hole.center[0] - rx, hole.center[0] + rx))
-        r0, r1 = np.searchsorted(ys, (hole.center[1] - ry, hole.center[1] + ry))
-        windows.append((c0, c1, r0, r1))
+    grid = _raster(footprint, holes, grid_pitch)
+    half_diag = grid.half_diag
+    windows = grid.windows(u)
+    dist = np.full((grid.ys.size, grid.xs.size), np.inf)
+    for hole, ui, window in zip(grid.holes, u, windows):
+        c0, c1, r0, r1 = window
         view = dist[r0:r1, c0:c1]
-        d = _front_distance(hole, ui, xs[c0:c1][None, :], ys[r0:r1][:, None])
-        np.minimum(view, d, out=view)
+        np.minimum(view, _front_distance(hole, ui, *grid.centres(window)), out=view)
 
     if stop_below_one and np.any(dist >= half_diag):
         return None
@@ -376,17 +425,9 @@ def _coverage(
     edge = np.abs(dist) < half_diag
     rows, cols = np.nonzero(edge)
     if rows.size:
-        offsets = (np.arange(_SUBSAMPLE) + 0.5) / _SUBSAMPLE - 0.5
-        ox, oy = (o.ravel() for o in np.meshgrid(offsets, offsets))
-        ox, oy = ox * px, oy * py
-        sub_dist = np.full((rows.size, _SUBSAMPLE * _SUBSAMPLE), np.inf)
-        for hole, ui, (c0, c1, r0, r1) in zip(rel_holes, u, windows):
-            near = np.flatnonzero((cols >= c0) & (cols < c1) & (rows >= r0) & (rows < r1))
-            if near.size:
-                sx = xs[cols[near], None] + ox
-                sy = ys[rows[near], None] + oy
-                d = _front_distance(hole, ui, sx, sy)
-                sub_dist[near] = np.minimum(sub_dist[near], d)
-        weight = np.clip(0.5 - sub_dist / ramp, 0.0, 1.0)
+        sub_dist = grid.subsample_min(
+            windows, rows, cols, lambda k, x, y: _front_distance(grid.holes[k], u[k], x, y)
+        )
+        weight = np.clip(0.5 - sub_dist / grid.ramp, 0.0, 1.0)
         fraction[edge] = weight.mean(axis=1)
     return float(fraction.mean())

@@ -19,13 +19,15 @@ and ``b = C_f / h_s``, a front that starts at ``u0`` satisfies
     p U + b U^2 / 2 = R0 t + p u0 + b u0^2 / 2
 
 so every front position is the positive root of one quadratic, evaluated
-directly at the queried time rather than stepped to it. Rates and
-distances are SI (m/s, m).
+directly at the queried time rather than stepped to it, and the time a
+front from the hole edge needs to reach a distance is the left side over
+``R0``. Rates and distances are SI (m/s, m).
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from importlib import resources
 
@@ -38,6 +40,8 @@ from .geometry import (
     PackageStack,
     Rect,
     _HOLE_SHAPES,
+    _front_distance,
+    _raster,
     _released,
     default_coverage_pitch,
     hole_area,
@@ -127,10 +131,14 @@ def _front(params, feed_resistance, h_s, duration, u0=0.0):
     """
     p = 1.0 + feed_resistance
     b = params.channel_factor / h_s
-    rhs = params.intrinsic_rate * duration + p * u0 + 0.5 * b * u0 * u0
-    disc = p * p + 2.0 * b * rhs
-    num = 2.0 * rhs
-    if isinstance(disc, np.ndarray):
+    array = isinstance(p, np.ndarray) or isinstance(u0, np.ndarray)
+    # an overflow is raised below as an error, so numpy need not warn of
+    # it; the float path, calibration's hot loop, has nothing to silence
+    with np.errstate(over="ignore", invalid="ignore") if array else nullcontext():
+        rhs = params.intrinsic_rate * duration + p * u0 + 0.5 * b * u0 * u0
+        disc = p * p + 2.0 * b * rhs
+        num = 2.0 * rhs
+    if array:
         finite = np.isfinite(num).all() and np.isfinite(disc).all()
         root = np.sqrt(disc)
     else:
@@ -139,6 +147,21 @@ def _front(params, feed_resistance, h_s, duration, u0=0.0):
     if not finite:
         raise ValueError("etch front overflows: etch rate or time is too large")
     return num / (p + root)
+
+
+def _arrival(params, feed_resistance, h_s, reach):
+    """Time for a front starting at the hole edge to reach ``reach``.
+
+    The inverse of ``_front`` from ``u0 = 0``: ``(p U + b U^2 / 2) / R0``,
+    written as ``U (p + b U / 2) / R0`` so that ``b = 0`` needs no branch,
+    and 0 for ``U <= 0``. ``reach`` is an array; a time too large for a
+    float is inf.
+    """
+    p = 1.0 + feed_resistance
+    b = params.channel_factor / h_s
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = reach * (p + 0.5 * b * reach) / params.intrinsic_rate
+    return np.where(reach > 0.0, t, 0.0)
 
 
 def underetch(
@@ -201,6 +224,13 @@ def time_to_release(
     returned, so the result underestimates the true release time by at
     most ``TIME_TOLERANCE``. Raises :class:`ReleaseTooSlowError` if the layout
     has not released by ``max_time``.
+
+    The bisection runs on the arrival-time estimate of
+    :func:`_release_estimate` and then asks the coverage raster at the two
+    ends of its final bracket. Coverage is monotone in time, so when both
+    answers agree every step of the search decided as the raster would
+    have, and the result is the raster search's own. Otherwise the search
+    is run again on the raster.
     """
     if not holes:
         raise ValueError("at least one hole required")
@@ -213,23 +243,38 @@ def time_to_release(
     def covered(t: float) -> bool:
         return _released(footprint, holes, _front(params, feed, h_s, t), pitch)
 
-    if covered(0.0):
-        return 0.0, 0.0
-    # bracket the release time by doubling before bisecting
-    lo, hi = 0.0, None
-    t = min(1.0 * MINUTE, max_time)
-    while True:
-        if covered(t):
-            hi = t
-            break
-        lo = t
-        if t >= max_time:
-            break
-        t = min(2.0 * t, max_time)
+    estimate = _release_estimate(footprint, holes, params, feed, h_s, pitch, max_time)
+    lo, hi = _search(lambda t: t >= estimate, max_time)
+    try:
+        confirmed = (lo is None or not covered(lo)) and (hi is None or covered(hi))
+    except ValueError:  # the front overflows where the raster search may not go
+        confirmed = False
+    if not confirmed:
+        lo, hi = _search(covered, max_time)
     if hi is None:
         raise ReleaseTooSlowError(
             f"footprint not fully released after {max_time / MINUTE:g} min"
         )
+    if lo is None:
+        return 0.0, 0.0
+    return lo, structural.selectivity_loss * lo
+
+
+def _search(covered, max_time: float) -> tuple[float | None, float | None]:
+    """Final bracket ``(lo, hi)`` of the first time ``covered`` holds:
+    ``covered(lo)`` is false and ``covered(hi)`` true. ``lo`` is None when
+    ``covered(0.0)``, and ``hi`` None when not ``covered(max_time)``."""
+    if covered(0.0):
+        return None, 0.0
+    # bracket the release time by doubling before bisecting
+    lo = 0.0
+    t = min(1.0 * MINUTE, max_time)
+    while not covered(t):
+        lo = t
+        if t >= max_time:
+            return lo, None
+        t = min(2.0 * t, max_time)
+    hi = t
     while hi - lo > TIME_TOLERANCE:
         mid = 0.5 * (lo + hi)
         # past about 2.7e14 s the bracket can be two adjacent floats
@@ -240,8 +285,91 @@ def time_to_release(
             hi = mid
         else:
             lo = mid
-    loss = structural.selectivity_loss * lo
-    return lo, loss
+    return lo, hi
+
+
+def _release_estimate(footprint, holes, params, feed, h_s, pitch, max_time) -> float:
+    """The release time on the coverage raster, from arrival times.
+
+    A cell whose centre lies at distance ``D_i`` from hole ``i`` counts 0
+    until ``lo_c = min_i T_i(D_i - half_diag)`` and 1 from
+    ``hi_c = min_i T_i(D_i + half_diag)`` on, with ``T_i`` the
+    :func:`_arrival` time of hole ``i``; in between it counts 1 once every
+    subsample point ``s`` is half a ramp inside a front, at
+    ``max_s min_i T_i(D_s,i + ramp / 2)``. The footprint releases at the
+    latest cell time, so only cells with ``hi_c`` at or above
+    ``t_lo = max lo_c`` are subsampled, in descending ``hi_c`` until no
+    later one can raise the maximum.
+
+    Each hole is evaluated on the window ``_coverage`` gives its front at
+    ``t_up``: a hole left out of a cell has ``T_i(D_i - half_diag) > t_up``
+    there, so every cell time up to ``t_up`` is exact and one beyond it
+    stays beyond it. ``t_up`` doubles from 1 min while some cell lies
+    outside every window, then moves once to the latest ``hi_c`` if that
+    is later, and never passes ``max_time``; windows that span the
+    raster reach every cell. Rounding between ``_arrival`` and
+    ``_front`` can move the result by a few ulps, which the caller's
+    raster queries settle.
+    """
+    grid = _raster(footprint, holes, pitch)
+    shape = (grid.ys.size, grid.xs.size)
+
+    def cell_times(t_up):
+        """The windows at ``t_up`` and the ``lo_c`` and ``hi_c`` maps on
+        them; None while ``t_up < max_time`` and some cell lies outside
+        every window, where its ``hi_c`` is inf."""
+        try:
+            reach = _front(params, feed, h_s, t_up)
+        except ValueError:
+            reach = np.full(len(holes), np.inf)
+        windows = grid.windows(reach)
+        reached = np.zeros(shape, dtype=bool)
+        for c0, c1, r0, r1 in windows:
+            reached[r0:r1, c0:c1] = True
+        if t_up < max_time and not reached.all():
+            return None
+        cells_lo = np.full(shape, np.inf)
+        cells_hi = np.full(shape, np.inf)
+        for hole, q, window in zip(grid.holes, feed, windows):
+            c0, c1, r0, r1 = window
+            d = _front_distance(hole, 0.0, *grid.centres(window))
+            view = cells_lo[r0:r1, c0:c1]
+            np.minimum(view, _arrival(params, q, h_s, d - grid.half_diag), out=view)
+            view = cells_hi[r0:r1, c0:c1]
+            np.minimum(view, _arrival(params, q, h_s, d + grid.half_diag), out=view)
+        return windows, cells_lo, cells_hi
+
+    t_up = min(1.0 * MINUTE, max_time)
+    while (found := cell_times(t_up)) is None:
+        t_up = min(2.0 * t_up, max_time)
+    latest = found[2].max()
+    if t_up < max_time and latest > t_up:
+        # a windowed cell time bounds the true one from above, so the
+        # windows at ``latest`` hold every hole a cell time comes from
+        found = cell_times(min(latest, max_time)) or found
+    windows, cells_lo, cells_hi = found
+
+    rows, cols = np.nonzero(cells_hi >= cells_lo.max())
+    order = np.argsort(cells_hi[rows, cols])[::-1]
+    rows, cols = rows[order], cols[order]
+    bounds = cells_hi[rows, cols]
+    half_ramp = 0.5 * grid.ramp
+    best = -np.inf
+    start, size = 0, 64
+    while start < rows.size and bounds[start] > best:
+        r, c = rows[start : start + size], cols[start : start + size]
+        sub = grid.subsample_min(
+            windows,
+            r,
+            c,
+            lambda k, x, y: _arrival(
+                params, feed[k], h_s, _front_distance(grid.holes[k], 0.0, x, y) + half_ramp
+            ),
+        )
+        best = max(best, float(np.minimum(bounds[start : start + size], sub.max(axis=1)).max()))
+        start += size
+        size *= 2
+    return best
 
 
 def _predicted(params: EtchParams, obs: EtchObservation) -> float:

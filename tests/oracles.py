@@ -6,8 +6,10 @@ oracle is a polynomial Rayleigh-Ritz energy minimization (no finite
 differences), the plate-operator oracle assembles the 13-point stencil
 node by node with mirror ghosts (the program builds it from Kronecker
 products of one 1-D clamped difference), the residue oracle is brute
-trapezoid quadrature, and the coverage oracle rasterises every hole at
-every point.
+trapezoid quadrature, the coverage oracle rasterises every hole at
+every point, and the release-time oracle bisects on that dense coverage
+at every step (the program bisects on an arrival-time estimate and asks
+its windowed raster only at the end).
 
 ``closed_form_underetch`` is the exception: the program itself evaluates
 the quadratic first integral of the front law, so that oracle restates
@@ -22,6 +24,7 @@ from numpy.polynomial import Polynomial
 from scipy import sparse
 
 from zeropack.geometry import hole_area
+from zeropack.release import TIME_TOLERANCE, underetch
 from zeropack.units import MINUTE
 
 
@@ -245,3 +248,32 @@ def scan_release_time(footprint, holes, stack, params, pitch, step=0.01 * MINUTE
             return k * step
         k += 1
     raise AssertionError("release scan exceeded cap")
+
+
+def bisect_release_time(footprint, holes, stack, params, pitch, max_time):
+    """Left end of the final bracket of the release search, or None when
+    the layout has not released by ``max_time``: doubling from 1 min, then
+    halving to ``TIME_TOLERANCE`` (or to two adjacent floats), with every
+    step asking the dense coverage oracle. The fronts come from the
+    program's ``underetch``, checked against Euler integration elsewhere,
+    so that both searches see the same fronts bit for bit."""
+
+    def covered(t):
+        u = [underetch(h, stack, params, t) for h in holes]
+        return dense_release_coverage(footprint, holes, u, pitch) >= 1.0
+
+    if covered(0.0):
+        return 0.0
+    lo, t = 0.0, min(MINUTE, max_time)
+    while not covered(t):
+        if t >= max_time:
+            return None
+        lo, t = t, min(2.0 * t, max_time)
+    hi = t
+    while hi - lo > TIME_TOLERANCE and lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if covered(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo

@@ -495,6 +495,62 @@ class TestHostileInput:
         assert_clean_exit(code, out, err)
         assert "Not a directory" in err
 
+    def test_never_releasing_layout_stops_growing_its_windows(self, tmp_path, capsys, monkeypatch):
+        # the release estimate doubles its window time from 1 min up to
+        # max_time, never further, and the raster confirms the verdict
+        text = FAST_RECIPE.replace(
+            "probe_time = 2min", "intrinsic_rate = 1e-300um/min\nmax_time = 1e300min"
+        )
+        recipe = tmp_path / "never.recipe"
+        recipe.write_text(text)
+        front = release_mod._front
+        fronts = 0
+
+        def counted(*args):
+            nonlocal fronts
+            fronts += 1
+            return front(*args)
+
+        monkeypatch.setattr(release_mod, "_front", counted)
+        code = main(["simulate", str(recipe), "--format", "tabular"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert_clean_exit(code, out, err)
+        assert "not fully released after 1e+300 min" in err
+        # one front per window time from 1 min to 1e300 min, and one for
+        # the raster query at max_time
+        assert fronts <= math.ceil(math.log2(1e300)) + 2
+
+
+class TestStderr:
+    # a warning prints as one line of its own, like an error, without
+    # Python's file name, line number and source line
+    def run(self, tmp_path, old, new):
+        recipe = tmp_path / "edited.recipe"
+        recipe.write_text(REFERENCE_RECIPE.read_text().replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        return subprocess.run(
+            [sys.executable, "-m", "zeropack", "simulate", str(recipe), "--format", "tabular"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+
+    def test_front_overflow_prints_the_error_alone(self, tmp_path):
+        proc = self.run(tmp_path, "sacrificial_thickness = 5um", "sacrificial_thickness = 1e300um")
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "zeropack: input error: etch front overflows: etch rate or time is too large"
+        ]
+
+    def test_thin_plate_warning_is_one_line(self, tmp_path):
+        proc = self.run(tmp_path, "cap_thickness = 2um", "cap_thickness = 5um")
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "zeropack: warning: thickness 7.5 um exceeds a fifth of the span; "
+            "thin-plate theory is marginal"
+        ]
+
 
 def _grid_units():
     from zeropack.recipe import _FIELDS, _MATERIAL_FIELD_KINDS

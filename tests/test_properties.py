@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_release_coverage
+from oracles import bisect_release_time, dense_release_coverage
 
 from zeropack.clogging import (
     ClogParams,
@@ -30,7 +30,8 @@ from zeropack.geometry import (
     release_coverage,
     standard_materials,
 )
-from zeropack.release import EtchParams, etch_rate, underetch
+from zeropack.errors import ReleaseTooSlowError
+from zeropack.release import EtchParams, etch_rate, time_to_release, underetch
 from zeropack.units import MINUTE, UM
 
 SIO2 = standard_materials()["sio2_sputter"]
@@ -196,6 +197,61 @@ class TestCoverageOracle:
             else:
                 lo = mid
         assert agree(hi)
+
+
+@st.composite
+def release_cases(draw):
+    """1 to 6 mixed-shape holes on a raster of 8 to 32 cells along its
+    longer side, etch constants whose transport terms may be 0, a time
+    cap some layouts do not release by, and now and then a hole covering
+    the whole footprint."""
+    fw = draw(st.floats(min_value=6.0, max_value=15.0)) * UM
+    fl = draw(st.floats(min_value=6.0, max_value=15.0)) * UM
+    cx = draw(st.floats(min_value=-50.0, max_value=50.0)) * UM
+    cy = draw(st.floats(min_value=-50.0, max_value=50.0)) * UM
+    footprint = Rect(fw, fl, (cx, cy))
+    holes = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        shape = draw(st.sampled_from(["circle", "square", "rectangle"]))
+        d1 = draw(st.floats(min_value=0.5, max_value=3.0)) * UM
+        center = (
+            cx + draw(st.floats(min_value=-0.5, max_value=0.5)) * fw,
+            cy + draw(st.floats(min_value=-0.5, max_value=0.5)) * fl,
+        )
+        if shape == "circle":
+            holes.append(Hole.circle(d1, center))
+        elif shape == "square":
+            holes.append(Hole.square(d1, center))
+        else:
+            ratio = draw(st.floats(min_value=1.0, max_value=3.0))
+            holes.append(Hole.rectangle(d1, ratio * d1, center))
+    if draw(st.integers(min_value=0, max_value=9)) == 3:
+        holes.append(Hole.square(2.0 * max(fw, fl), (cx, cy)))
+    params = EtchParams(
+        intrinsic_rate=draw(st.floats(min_value=0.2, max_value=5.0)) * UM / MINUTE,
+        aperture_factor=draw(zero_or(0.01, 50.0)) * UM,
+        channel_factor=draw(zero_or(0.01, 8.0)),
+    )
+    stack = PackageStack(
+        draw(st.floats(min_value=0.5, max_value=6.0)) * UM, 2 * UM, 2.5 * UM, footprint
+    )
+    pitch = max(fw, fl) / draw(st.integers(min_value=8, max_value=32))
+    max_time = draw(st.sampled_from([240.0, 20.0, 3.0, 0.5])) * MINUTE
+    return footprint, holes, stack, params, pitch, max_time
+
+
+class TestReleaseTime:
+    @given(case=release_cases())
+    def test_equals_dense_bisection_bit_for_bit(self, case):
+        footprint, holes, stack, params, pitch, max_time = case
+        expected = bisect_release_time(footprint, holes, stack, params, pitch, max_time)
+        try:
+            t, _ = time_to_release(
+                footprint, holes, stack, params, SIO2, max_time=max_time, grid_pitch=pitch
+            )
+        except ReleaseTooSlowError:
+            t = None
+        assert t == expected
 
 
 class TestEtchProperties:

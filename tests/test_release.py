@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    bisect_release_time,
     closed_form_underetch,
     dense_release_coverage,
     euler_underetch,
@@ -15,6 +16,7 @@ from zeropack.errors import CalibrationError, DataFileError, ReleaseTooSlowError
 from zeropack.geometry import Hole, PackageStack, Rect, _released, default_coverage_pitch
 from zeropack.release import (
     DEFAULT_ETCH_PARAMS,
+    DEFAULT_TIME_CAP,
     TIME_TOLERANCE,
     EtchObservation,
     EtchParams,
@@ -115,6 +117,22 @@ class TestUnderetch:
         fronts = release_mod._front(PARAMS, feed, h_s, t_min * MINUTE)
         assert fronts.tolist() == [underetch(h, stack, PARAMS, t_min * MINUTE) for h in holes]
 
+    @pytest.mark.parametrize("t_min", [0.37, 2.0, 96.5, 1e9])
+    def test_arrival_inverts_the_front(self, t_min):
+        stack = stack_with(1.1 * UM)
+        holes = [Hole.circle(2 * UM), Hole.rectangle(1.3 * UM, 9 * UM), Hole.circle(40 * UM)]
+        h_s = stack.sacrificial_thickness
+        feed = np.array([release_mod._feed(PARAMS, h_s, h) for h in holes])
+        fronts = release_mod._front(PARAMS, feed, h_s, t_min * MINUTE)
+        times = release_mod._arrival(PARAMS, feed, h_s, fronts)
+        assert times == pytest.approx(t_min * MINUTE, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")  # a time past the float range is inf, not a warning
+    def test_arrival_is_zero_inside_the_hole_and_inf_past_the_float_range(self):
+        params = EtchParams(1e-300, 0.0, 0.32)
+        times = release_mod._arrival(params, 0.0, 1e-300, np.array([-1.0, 0.0, 1.0]))
+        assert times.tolist() == [0.0, 0.0, math.inf]
+
     @pytest.mark.parametrize(
         "params, duration",
         [
@@ -124,7 +142,7 @@ class TestUnderetch:
             (EtchParams(1e300, 0.0, 0.0), 1.5e8),  # only 2 rhs overflows
         ],
     )
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("error")  # an overflow is raised, never warned
     def test_overflow_is_an_error_not_a_front(self, params, duration):
         with pytest.raises(ValueError, match="overflows"):
             release_mod._front(params, 0.0, 1 * UM, duration)
@@ -259,8 +277,38 @@ class TestTimeToRelease:
             grid_pitch=r.coverage_pitch,
         )
         assert t == 5787.01171875
-        # t = 0, doubling from 1 min to 128 min, then 16 bisection steps
-        assert len(queries) == 25
+        # the search runs on the arrival-time estimate; the raster is asked
+        # only at the two ends of its final bracket (25 queries when every
+        # step of the search asked it)
+        assert len(queries) == 2
+
+    @pytest.mark.parametrize(
+        "wrong",
+        [lambda t: 0.5 * t, lambda t: 2.0 * t, lambda t: 0.0, lambda t: math.inf],
+        ids=["too-early", "too-late", "zero", "inf"],
+    )
+    def test_wrong_estimate_falls_back_to_the_raster_search(
+        self, materials, monkeypatch, wrong
+    ):
+        fp = Rect(12 * UM, 12 * UM)
+        stack = PackageStack(1.1 * UM, 2 * UM, 2.5 * UM, fp)
+        holes = [Hole.circle(2 * UM, (-3.5 * UM, -3.5 * UM)), Hole.square(2 * UM, (3 * UM, 2 * UM))]
+        pitch = 0.5 * UM
+        expected = bisect_release_time(fp, holes, stack, PARAMS, pitch, DEFAULT_TIME_CAP)
+        assert expected > 0.0
+        estimate = release_mod._release_estimate
+        queries = 0
+
+        def counted(*args):
+            nonlocal queries
+            queries += 1
+            return _released(*args)
+
+        monkeypatch.setattr(release_mod, "_released", counted)
+        monkeypatch.setattr(release_mod, "_release_estimate", lambda *a: wrong(estimate(*a)))
+        t, _ = time_to_release(fp, holes, stack, PARAMS, materials["sio2_sputter"], grid_pitch=pitch)
+        assert t == expected
+        assert queries > 2
 
     def test_bisection_stops_on_adjacent_floats(self, fast_recipe, monkeypatch):
         # past about 2.7e14 s the float spacing exceeds TIME_TOLERANCE, so
