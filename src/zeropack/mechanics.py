@@ -6,7 +6,11 @@ four edges under uniform transverse load: the biharmonic equation
 (mirror ghost nodes) and solved exactly with numpy alone: the squared
 Laplacian is diagonal in a sine basis, and the clamped edges add a
 correction on the four boundary lines, removed by a capacitance solve
-(Bjorstad's method). The load-independent unit solution is cached per
+(Bjorstad's method). The uniform load on a rectangle is even in x and in
+y, so only the odd sine modes occur and the capacitance system shrinks to
+one symmetric Schur system of order ``ceil((grid_n - 1) / 2)``; one
+quarter of the field is synthesised and mirrored, so the field's
+symmetry is exact. The load-independent unit solution is cached per
 (side_a, side_b, grid_n), so deflection scales exactly linearly with
 ``q`` and exactly as ``1/t^3`` through the flexural rigidity.
 
@@ -120,57 +124,46 @@ def _clamped_biharmonic_unit_load(hx: float, hy: float, m: int) -> np.ndarray:
 
     On the interior nodes of a line the clamped fourth difference is
     ``T^2 + _EDGE_ROW E``, with ``T`` the Dirichlet second difference and
-    ``E`` one at the first and last node only. The plate operator is
-    therefore the squared 5-point Laplacian
-    ``L = I (x) T / hx^2 + T (x) I / hy^2`` plus a diagonal term on the
-    four boundary lines of the interior (Bjorstad, SIAM J. Numer. Anal.
-    20 (1983) 59):
+    ``E`` one at the first and last node only, so ``A = L^2 + P D P^T``:
+    the squared 5-point Laplacian ``L``, diagonal in the sine basis, plus
+    ``D = _EDGE_ROW / h^4`` on the four boundary lines that ``P`` lifts
+    into the field (Bjorstad, SIAM J. Numer. Anal. 20 (1983) 59). By the
+    Woodbury identity ``v = L^-2 (1 - P z)`` with
+    ``(D^-1 + P^T L^-2 P) z = P^T L^-2 1``.
 
-        A = L^2 + P D P^T,   D = _EDGE_ROW / h^4 on each line,
-
-    where ``P`` lifts values on the lines (two rows along x, two columns
-    along y; a corner node lies on two) into the field. ``L^2`` is
-    diagonal in the sine basis, so by the Woodbury identity
-
-        A^-1 1 = u - L^-2 P z,   u = L^-2 1,   (D^-1 + P^T L^-2 P) z = P^T u,
-
-    two sine-basis solves and one dense capacitance system of order
-    ``4 m``. Each block of the capacitance matrix couples two lines and
-    is ``S diag(.) S`` (parallel lines) or ``S K S`` (crossing lines), so
-    the whole solve costs O(m^3).
+    The load and the rectangle are even in x and in y, so only the odd
+    sine modes occur, both rows carry the same line values and so do both
+    columns. In odd modes, with ``s0`` the modes of the first node and
+    ``mu`` the Laplacian eigenvalues, the system for the x-modes ``zr`` of
+    a row and the y-modes ``zc`` of a column is
+    ``[[diag(dr), B], [B^T, diag(dc)]]``, ``B_qp = 2 s0_q s0_p / mu_pq^2``:
+    parallel lines couple only mode by mode. Eliminating ``zr`` leaves
+    one symmetric Schur system of order ``ceil(m / 2)``. One quarter of
+    the field is synthesised and mirrored into the other three.
     """
     s, lam = _sine_basis(m)
+    s, lam = s[:, ::2], lam[::2]  # the odd modes k = 1, 3, ...
     # 1 / mu^2 for the Laplacian eigenvalue mu of mode (p along y, q along x)
     inv_mu2 = 1.0 / (lam[:, None] / hy**2 + lam[None, :] / hx**2) ** 2
+    s0 = s[0]
+    total = s.sum(axis=0)  # the modes of the unit load
+    u_hat = np.outer(total, total) * inv_mu2
+    # each factor 2 counts the two parallel lines that carry one line value
+    coupling = 2.0 * np.outer(s0, s0) * inv_mu2  # B^T
+    dr = hy**4 / _EDGE_ROW + 2.0 * (s0**2 @ inv_mu2)
+    dc = hx**4 / _EDGE_ROW + 2.0 * (inv_mu2 @ s0**2)
+    gr, gc = s0 @ u_hat, u_hat @ s0  # P^T u on a row and on a column
+    schur = np.diag(dc) - (coupling / dr) @ coupling.T
+    zc = np.linalg.solve(schur, gc - coupling @ (gr / dr))
+    zr = (gr - coupling.T @ zc) / dr
+    v_hat = u_hat - 2.0 * inv_mu2 * (np.outer(s0, zr) + np.outer(zc, s0))
 
-    def inverse_l2(f: np.ndarray) -> np.ndarray:
-        return s @ ((s @ f @ s) * inv_mu2) @ s
-
-    # lines in the order first row, last row, first column, last column;
-    # ends[e] holds the sine modes of the first (e = 0) or last node
-    ends = s[[0, -1]]
-    along_x = np.einsum("ep,fp,pq->efq", ends, ends, inv_mu2)
-    along_y = np.einsum("eq,fq,pq->efp", ends, ends, inv_mu2)
-    cap = np.empty((4, m, 4, m))
-    for e in range(2):
-        for f in range(2):
-            cap[e, :, f, :] = (s * along_x[e, f]) @ s
-            cap[2 + e, :, 2 + f, :] = (s * along_y[e, f]) @ s
-            # read on row e, source on column f
-            cross = s @ (inv_mu2.T * np.outer(ends[f], ends[e])) @ s
-            cap[e, :, 2 + f, :] = cross
-            cap[2 + f, :, e, :] = cross.T
-    cap = cap.reshape(4 * m, 4 * m)
-    cap[np.diag_indices(4 * m)] += np.repeat([hy**4, hy**4, hx**4, hx**4], m) / _EDGE_ROW
-
-    u = inverse_l2(np.ones((m, m)))
-    z = np.linalg.solve(cap, np.concatenate([u[0], u[-1], u[:, 0], u[:, -1]]))
-    lift = np.zeros((m, m))
-    lift[0] += z[:m]
-    lift[-1] += z[m : 2 * m]
-    lift[:, 0] += z[2 * m : 3 * m]
-    lift[:, -1] += z[3 * m :]
-    return u - inverse_l2(lift)
+    h = (m + 1) // 2
+    v = np.empty((m, m))
+    v[:h, :h] = s[:h] @ v_hat @ s[:h].T
+    v[:h, h:] = v[:h, m - h - 1 :: -1]
+    v[h:] = v[m - h - 1 :: -1]
+    return v
 
 
 @lru_cache(maxsize=32)

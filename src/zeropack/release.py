@@ -227,10 +227,13 @@ def time_to_release(
 
     The bisection runs on the arrival-time estimate of
     :func:`_release_estimate` and then asks the coverage raster at the two
-    ends of its final bracket. Coverage is monotone in time, so when both
-    answers agree every step of the search decided as the raster would
-    have, and the result is the raster search's own. Otherwise the search
-    is run again on the raster.
+    ends of its final bracket. Coverage is monotone in time, so a covered
+    time decides every later one and an uncovered time every earlier one.
+    When only one side is decided, the raster is asked at steps doubling
+    outward from it until the other side is too. The search is then
+    replayed on the raster, asking it only about times still undecided:
+    when both answers agree that is none, and the result is always the
+    raster search's own.
     """
     if not holes:
         raise ValueError("at least one hole required")
@@ -243,14 +246,37 @@ def time_to_release(
     def covered(t: float) -> bool:
         return _released(footprint, holes, _front(params, feed, h_s, t), pitch)
 
+    true_at, false_at = math.inf, -math.inf
+
+    def decided(t: float) -> bool:
+        nonlocal true_at, false_at
+        if false_at < t < true_at:
+            if covered(t):
+                true_at = t
+            else:
+                false_at = t
+        return t >= true_at
+
     estimate = _release_estimate(footprint, holes, params, feed, h_s, pitch, max_time)
     lo, hi = _search(lambda t: t >= estimate, max_time)
     try:
-        confirmed = (lo is None or not covered(lo)) and (hi is None or covered(hi))
+        for t in (lo, hi):
+            if t is not None:
+                decided(t)
+        # gallop outward from the one decided side until the other is decided
+        if true_at == math.inf and false_at > -math.inf:
+            step = max(TIME_TOLERANCE, math.ulp(false_at))
+            while true_at == math.inf and false_at < max_time:
+                decided(min(false_at + step, max_time))
+                step *= 2.0
+        elif false_at == -math.inf and true_at < math.inf:
+            step = max(TIME_TOLERANCE, math.ulp(true_at))
+            while false_at == -math.inf and true_at > 0.0:
+                decided(max(true_at - step, 0.0))
+                step *= 2.0
     except ValueError:  # the front overflows where the raster search may not go
-        confirmed = False
-    if not confirmed:
-        lo, hi = _search(covered, max_time)
+        pass
+    lo, hi = _search(decided, max_time)
     if hi is None:
         raise ReleaseTooSlowError(
             f"footprint not fully released after {max_time / MINUTE:g} min"

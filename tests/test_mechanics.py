@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
@@ -168,6 +170,23 @@ class TestClampedOperator:
         assert np.abs(ref_mat @ v[1:n, 1:n].ravel() - 1.0).max() <= 1e-6
         # the rectangle and the load are symmetric under a half turn
         assert np.abs(v - v[::-1, ::-1]).max() <= 1e-12 * v_max
+
+    @pytest.mark.parametrize("side_a, side_b, n", OPERATOR_GRIDS, ids=OPERATOR_IDS)
+    def test_mirror_symmetry_is_exact(self, side_a, side_b, n):
+        # the rectangle and the load are even in x and in y
+        _, _, v = mechanics._unit_solution.__wrapped__(side_a, side_b, n)
+        assert np.array_equal(v, v[::-1, :])
+        assert np.array_equal(v, v[:, ::-1])
+
+    def test_cold_solve_memory_is_small(self):
+        # a dense capacitance matrix on the boundary lines peaks near 11 MiB
+        tracemalloc.start()
+        try:
+            mechanics._unit_solution.__wrapped__(30 * UM, 45 * UM, 256)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("side", [1e-300, 1e300], ids=["singular", "overflow"])
     def test_degenerate_geometry_is_a_solver_error(self, side):
