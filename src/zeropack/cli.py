@@ -65,7 +65,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--values", required=True, help="comma-separated quantities, e.g. 2um,4um"
     )
-    p.add_argument("--workers", type=int, default=None, help="parallel evaluations")
+    p.add_argument(
+        "--workers", type=int, help="accepted, no effect: rows run in input order, one by one"
+    )
     common(p)
 
     p = sub.add_parser("calibrate-etch", help="fit etch constants to a data file")
@@ -102,7 +104,7 @@ def _cmd_sweep(args) -> int:
     if not labels:
         raise ValueError("--values must list at least one quantity")
     values = [parse_quantity(tok, kind, f"--values entry {tok!r}") for tok in labels]
-    rows = sweep(recipe, args.param, values, labels=labels, max_workers=args.workers)
+    rows = sweep(recipe, args.param, values, labels=labels)
     _write(emit_sweep(rows, args.format), args.out)
     return EXIT_OK
 

@@ -23,7 +23,6 @@ clamped plate the maximum sits at the mid-edge.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,10 +34,6 @@ from .geometry import Material
 from .units import NM, UM
 
 MIN_GRID_N = 16
-
-# held around the cached unit solve, so that concurrent callers of one
-# geometry (the rows of a threaded sweep) share a single solve
-_UNIT_SOLUTION_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -106,14 +101,16 @@ def _clamped_second_difference(w: np.ndarray, h: float) -> np.ndarray:
 
 
 def _sine_basis(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal sine matrix ``S`` (``S = S^T = S^-1``) and eigenvalues
-    ``lam`` of the Dirichlet second difference ``T`` on ``m`` interior
-    nodes: ``T = S diag(lam) S``."""
+    """The odd modes ``k = 1, 3, ...`` of the Dirichlet second difference
+    ``T`` on ``m`` interior nodes: the ``m x ceil(m/2)`` matrix ``S`` of
+    their orthonormal sine columns and their eigenvalues ``lam``, so that
+    ``T S = S diag(lam)``."""
     k = np.arange(1, m + 1)
+    odd = k[::2]
     # reduce k l modulo 2(m+1) in integers so every sine is accurate
-    phase = np.outer(k, k) % (2 * (m + 1))
+    phase = np.outer(k, odd) % (2 * (m + 1))
     s = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi / (m + 1) * phase)
-    lam = -4.0 * np.sin(0.5 * np.pi / (m + 1) * k) ** 2
+    lam = -4.0 * np.sin(0.5 * np.pi / (m + 1) * odd) ** 2
     return s, lam
 
 
@@ -142,7 +139,6 @@ def _clamped_biharmonic_unit_load(hx: float, hy: float, m: int) -> np.ndarray:
     the field is synthesised and mirrored into the other three.
     """
     s, lam = _sine_basis(m)
-    s, lam = s[:, ::2], lam[::2]  # the odd modes k = 1, 3, ...
     # 1 / mu^2 for the Laplacian eigenvalue mu of mode (p along y, q along x)
     inv_mu2 = 1.0 / (lam[:, None] / hy**2 + lam[None, :] / hx**2) ** 2
     s0 = s[0]
@@ -217,8 +213,7 @@ def solve_plate(spec: PlateSpec, grid_n: int = 128) -> PlateSolution:
     """Deflection of the clamped plate on a (grid_n+1)^2 node grid."""
     if grid_n < MIN_GRID_N:
         raise ValueError(f"grid_n must be >= {MIN_GRID_N}")
-    with _UNIT_SOLUTION_LOCK:
-        x, y, v = _unit_solution(spec.side_a, spec.side_b, grid_n)
+    x, y, v = _unit_solution(spec.side_a, spec.side_b, grid_n)
     # an overflowing q / D or t^3 turns the clamped edges' zeros into nan;
     # the deflection must stay finite in nm, the unit it is reported in
     try:

@@ -11,7 +11,6 @@ text/tabular report formats.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import clogging as clog_mod
@@ -190,22 +189,18 @@ def sweep(
 ) -> list[tuple[str, ProcessReport]]:
     """Run the recipe once per value of one numeric field.
 
-    Rows are independent and returned in input order regardless of
-    ``max_workers``; ``labels`` (default ``%.6g`` of each value) become
-    the first column of the emitted table and name a rejected value in
-    its error.
+    Every value is checked before the first row runs; the rows then run
+    one after another in input order. ``max_workers`` is accepted and has
+    no effect. ``labels`` (default ``%.6g`` of each value) become the
+    first column of the emitted table and name a rejected value in its
+    error.
     """
     if labels is None:
         labels = [f"{v:.6g}" for v in values]
     if len(labels) != len(values):
         raise ValueError("labels must match values")
     recipes = [_set_field(recipe, path, v, f"{path} = {lb}") for v, lb in zip(values, labels)]
-    if max_workers is not None and max_workers > 1 and len(recipes) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            reports = list(pool.map(run_recipe, recipes))
-    else:
-        reports = [run_recipe(r) for r in recipes]
-    return list(zip(labels, reports))
+    return [(lb, run_recipe(r)) for lb, r in zip(labels, recipes)]
 
 
 def _fmt(value: float) -> str:

@@ -369,12 +369,14 @@ def test_module_entry_point(fast_recipe_file):
     assert "release time" in proc.stdout
 
 
-def test_import_loads_no_scipy():
-    # scipy is needed only to calibrate; simulate must not pay its import
+# scipy is needed only to calibrate, and sweeps run no threads: simulate
+# and sweep must not pay either import
+@pytest.mark.parametrize("package", ["scipy", "concurrent"])
+def test_import_loads_no_scipy(package):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     code = (
         "import sys, zeropack, zeropack.cli\n"
-        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+        f"print(sorted(m for m in sys.modules if m.partition('.')[0] == {package!r}))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr

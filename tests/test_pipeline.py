@@ -1,7 +1,5 @@
 import dataclasses
 import functools
-import sys
-import time
 
 import pytest
 
@@ -240,30 +238,30 @@ class TestSweep:
         )
         assert serial == threaded
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_threaded_rows_share_one_plate_factorisation(
-        self, fast_recipe, monkeypatch, workers
+    @pytest.mark.parametrize(
+        "path, values, solves",
+        [
+            ("stack.clog_deposition", [(1.5 + 0.25 * i) * UM for i in range(4)], 1),
+            ("molding.grid_n", [16, 32, 16], 2),
+        ],
+        ids=["clog_deposition", "grid_n"],
+    )
+    def test_sweep_solves_each_plate_geometry_once(
+        self, fast_recipe, monkeypatch, path, values, solves
     ):
         solved = []
         unit_solution = mechanics._unit_solution.__wrapped__
 
-        def slow_unit_solution(*key):
+        def counted_unit_solution(*key):
             solved.append(key)
-            time.sleep(0.3)  # keep the cold solve open while the other row arrives
             return unit_solution(*key)
 
         monkeypatch.setattr(
-            mechanics, "_unit_solution", functools.lru_cache(maxsize=32)(slow_unit_solution)
+            mechanics, "_unit_solution", functools.lru_cache(maxsize=32)(counted_unit_solution)
         )
-        values = [(1.5 + 0.25 * i) * UM for i in range(workers)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            rows = sweep(fast_recipe, "stack.clog_deposition", values, max_workers=workers)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(rows) == workers
-        assert len(solved) == 1
+        rows = sweep(fast_recipe, path, values)
+        assert len(rows) == len(values)
+        assert len(solved) == solves
 
     def test_custom_labels(self, fast_recipe):
         rows = sweep(fast_recipe, "holes.diameter", [2 * UM], labels=["2um"])
