@@ -94,7 +94,13 @@ def _clamped_second_difference(w: np.ndarray, h: float) -> np.ndarray:
     spacing ``h`` clamped at both ends: centred on interior nodes,
     ``_EDGE_ROW * w_1 / h^2`` on the edge nodes."""
     d = np.empty_like(w)
-    d[..., 1:-1] = (w[..., :-2] - 2.0 * w[..., 1:-1] + w[..., 2:]) / h**2
+    # filled in place, with no full-field temporaries; the same roundings
+    # as (w[:-2] - 2 w[1:-1] + w[2:]) / h^2, since -2 w is exact negation
+    inner = d[..., 1:-1]
+    np.multiply(w[..., 1:-1], -2.0, out=inner)
+    inner += w[..., :-2]
+    inner += w[..., 2:]
+    inner /= h**2
     d[..., 0] = _EDGE_ROW * w[..., 1] / h**2
     d[..., -1] = _EDGE_ROW * w[..., -2] / h**2
     return d
@@ -203,9 +209,14 @@ def _peak_stress(spec: PlateSpec, w: np.ndarray, grid_n: int) -> float:
     wxx, wyy = _curvatures(w, hx, hy)
     d = flexural_rigidity(spec.material, spec.thickness)
     nu = spec.material.poisson_ratio
-    mx = -d * (wxx + nu * wyy)
-    my = -d * (wyy + nu * wxx)
-    moment = max(np.abs(mx).max(), np.abs(my).max())
+    # the moments -d (wxx + nu wyy) and -d (wyy + nu wxx), built in place:
+    # |-d z| = d |z| and rounding keeps the order of d z for d > 0, so
+    # d max|z| is the largest moment bit for bit
+    zx = np.multiply(wyy, nu)
+    zx += wxx
+    wxx *= nu
+    wxx += wyy
+    moment = d * max(zx.max(), -zx.min(), wxx.max(), -wxx.min())
     return float(6.0 * moment / spec.thickness**2)
 
 
@@ -219,7 +230,7 @@ def solve_plate(spec: PlateSpec, grid_n: int = 128) -> PlateSolution:
     try:
         with np.errstate(all="ignore"):
             w = v * (spec.pressure / flexural_rigidity(spec.material, spec.thickness))
-            w_max = float(np.abs(w).max())
+            w_max = float(max(w.max(), -w.min()))
             sigma_max = _peak_stress(spec, w, grid_n)
         finite = math.isfinite(w_max / NM) and math.isfinite(sigma_max)
     except OverflowError:

@@ -324,6 +324,31 @@ class TestCalibrate:
         path.write_text("circle, 2, 0, 1.1, 2, 0.4\ncircle, 4, 0, 1.1, 2, 1.1\n")
         assert main(["calibrate-etch", str(path)]) == 2
 
+    # the bundled data plus one extreme row: most once printed numpy
+    # warnings, and some scipy's own message, before or as the error
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("circle,4,0,1.1,2,1e300", "the scaled Jacobian of the residuals is not finite"),
+            ("circle,4,0,1.1,2,nan", "residuals are not finite at the start point"),
+            ("circle,4,0,1.1,2,inf", "etch front overflows"),
+            ("circle,4,0,1.1,1e-300,1.0", "the scaled Jacobian of the residuals is not finite"),
+            ("circle,4,0,1.1,1e300,1.0", "the scaled Jacobian of the residuals is not finite"),
+            ("circle,4,0,1e300,2,1.0", "etch front overflows"),
+        ],
+        ids=["u-1e300", "u-nan", "u-inf", "t-1e-300", "t-1e300", "h-1e300"],
+    )
+    def test_hostile_observation_prints_one_line(self, tmp_path, capsys, row, message):
+        path = tmp_path / "hostile.csv"
+        bundled = (SRC / "zeropack" / "data" / "sf6_underetch.csv").read_text()
+        path.write_text(f"{bundled}{row}\n")
+        code = main(["calibrate-etch", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert_clean_exit(code, out, err)
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"zeropack: input error: {message}")
+
 
 class TestCheckMolding:
     def test_pass_and_dump(self, fast_recipe_file, tmp_path, capsys):
@@ -369,14 +394,27 @@ def test_module_entry_point(fast_recipe_file):
     assert "release time" in proc.stdout
 
 
-# scipy is needed only to calibrate, and sweeps run no threads: simulate
-# and sweep must not pay either import
+# zeropack does not use scipy, and sweeps run no threads: importing the
+# CLI, which every command pays, must load neither
 @pytest.mark.parametrize("package", ["scipy", "concurrent"])
 def test_import_loads_no_scipy(package):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     code = (
         "import sys, zeropack, zeropack.cli\n"
         f"print(sorted(m for m in sys.modules if m.partition('.')[0] == {package!r}))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_calibration_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = (
+        "import sys\n"
+        "from zeropack.release import bundled_observations, calibrate_etch\n"
+        "calibrate_etch(bundled_observations())\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr

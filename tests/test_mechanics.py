@@ -202,6 +202,20 @@ class TestClampedOperator:
             for got, want in zip(mechanics._curvatures(w, hx, hy), edge_row_curvatures(w, hx, hy)):
                 assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("side_a, side_b, n", OPERATOR_GRIDS, ids=OPERATOR_IDS)
+    def test_peak_stress_equals_the_moment_formula(self, nitride, side_a, side_b, n):
+        # bit for bit, on the unit field and on noise of both signs
+        spec = PlateSpec(side_a, side_b, min(side_a, side_b) / 10, nitride, 1 * MPA)
+        d = flexural_rigidity(nitride, spec.thickness)
+        nu = nitride.poisson_ratio
+        _, _, v = mechanics._unit_solution(side_a, side_b, n)
+        noise = np.random.default_rng(n).standard_normal(v.shape)
+        for w in (v, noise):
+            wxx, wyy = edge_row_curvatures(w, side_a / n, side_b / n)
+            moment = max(np.abs(-d * (wxx + nu * wyy)).max(), np.abs(-d * (wyy + nu * wxx)).max())
+            want = float(6.0 * moment / spec.thickness**2)
+            assert mechanics._peak_stress(spec, w, n) == want
+
 
 class TestMoldingDeflections:
     def test_lto_cap_deflection(self, lto):
