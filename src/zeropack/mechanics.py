@@ -14,10 +14,15 @@ symmetry is exact. The load-independent unit solution is cached per
 (side_a, side_b, grid_n), so deflection scales exactly linearly with
 ``q`` and exactly as ``1/t^3`` through the flexural rigidity.
 
-Bending stress is evaluated from the same second differences of the
-deflection field: ``sigma = 6 M / t^2`` with ``M = -D (w_xx + nu w_yy)``
-(and the transpose), maximized over the grid; for a uniformly loaded
-clamped plate the maximum sits at the mid-edge.
+Bending stress is ``sigma = 6 M / t^2`` with the moments
+``M = -D (w_xx + nu w_yy)`` and ``-D (w_yy + nu w_xx)`` of the clamped
+second differences, maximized over the grid; for a uniformly loaded
+clamped plate the maximum sits at the mid-edge. With ``w = v q / D`` the
+rigidity cancels: ``sigma_max = 6 q M(nu) / t^2``, where ``M(nu)`` is the
+moment peak of the unit field ``v``, cached as a float per
+(side_a, side_b, grid_n, nu) beside the peak of ``v`` itself. So the
+stress does not depend on Young's modulus, and a warm solve reads both
+extrema from two cached scalars instead of differencing the field.
 """
 
 from __future__ import annotations
@@ -198,25 +203,49 @@ def _curvatures(w: np.ndarray, hx: float, hy: float):
     )
 
 
-def max_bending_stress(spec: PlateSpec, solution: PlateSolution) -> float:
-    """Largest bending stress magnitude over the plate, in Pa."""
-    return _peak_stress(spec, solution.deflection, solution.grid_n)
+@lru_cache(maxsize=128)
+def _unit_peaks(side_a: float, side_b: float, grid_n: int, nu: float):
+    """Peak deflection ``max |v|`` and peak moment ``max |v_xx + nu v_yy|,
+    |v_yy + nu v_xx|`` of the unit solution; cached per geometry and
+    Poisson ratio as floats."""
+    _, _, v = _unit_solution(side_a, side_b, grid_n)
+    v_peak = float(max(v.max(), -v.min()))
+    return v_peak, _moment_peak(v, side_a / grid_n, side_b / grid_n, nu)
 
 
-def _peak_stress(spec: PlateSpec, w: np.ndarray, grid_n: int) -> float:
-    hx = spec.side_a / grid_n
-    hy = spec.side_b / grid_n
+def _moment_peak(w: np.ndarray, hx: float, hy: float, nu: float) -> float:
+    """``max |w_xx + nu w_yy|, |w_yy + nu w_xx|`` over the field."""
     wxx, wyy = _curvatures(w, hx, hy)
-    d = flexural_rigidity(spec.material, spec.thickness)
-    nu = spec.material.poisson_ratio
-    # the moments -d (wxx + nu wyy) and -d (wyy + nu wxx), built in place:
-    # |-d z| = d |z| and rounding keeps the order of d z for d > 0, so
-    # d max|z| is the largest moment bit for bit
+    # built in place, the second sum in the wxx buffer
     zx = np.multiply(wyy, nu)
     zx += wxx
     wxx *= nu
     wxx += wyy
-    moment = d * max(zx.max(), -zx.min(), wxx.max(), -wxx.min())
+    return float(max(zx.max(), -zx.min(), wxx.max(), -wxx.min()))
+
+
+def _extrema(spec: PlateSpec, grid_n: int) -> tuple[float, float]:
+    """``max |v|`` of the unit field and the peak bending stress
+    ``6 q M(nu) / t^2``, in which the rigidity cancels."""
+    v_peak, m_hat = _unit_peaks(spec.side_a, spec.side_b, grid_n, spec.material.poisson_ratio)
+    # q M(nu) is the peak moment, so this order adds no overflow to that
+    # of 6 D max|w''| / t^2 on the scaled field
+    return v_peak, 6.0 * (spec.pressure * m_hat) / spec.thickness**2
+
+
+def max_bending_stress(spec: PlateSpec, solution: PlateSolution) -> float:
+    """Largest bending stress magnitude over the plate, in Pa."""
+    return _extrema(spec, solution.grid_n)[1]
+
+
+def _peak_stress(spec: PlateSpec, w: np.ndarray, grid_n: int) -> float:
+    """Largest bending stress of the deflection field ``w``, from its own
+    second differences."""
+    d = flexural_rigidity(spec.material, spec.thickness)
+    # |-d z| = d |z| and rounding keeps the order of d z for d > 0, so
+    # d max|z| is the largest moment bit for bit
+    nu = spec.material.poisson_ratio
+    moment = d * _moment_peak(w, spec.side_a / grid_n, spec.side_b / grid_n, nu)
     return float(6.0 * moment / spec.thickness**2)
 
 
@@ -225,14 +254,21 @@ def solve_plate(spec: PlateSpec, grid_n: int = 128) -> PlateSolution:
     if grid_n < MIN_GRID_N:
         raise ValueError(f"grid_n must be >= {MIN_GRID_N}")
     x, y, v = _unit_solution(spec.side_a, spec.side_b, grid_n)
-    # an overflowing q / D or t^3 turns the clamped edges' zeros into nan;
-    # the deflection must stay finite in nm, the unit it is reported in
+    # the deflection must stay finite in nm, the unit it is reported in;
+    # a t^2 or t^3 past the float range raises, an overflowing q / D
+    # turns the clamped edges' zeros into nan
     try:
+        v_peak, sigma_max = _extrema(spec, grid_n)
+        d = flexural_rigidity(spec.material, spec.thickness)
+        c = spec.pressure / d
         with np.errstate(all="ignore"):
-            w = v * (spec.pressure / flexural_rigidity(spec.material, spec.thickness))
-            w_max = float(max(w.max(), -w.min()))
-            sigma_max = _peak_stress(spec, w, grid_n)
-        finite = math.isfinite(w_max / NM) and math.isfinite(sigma_max)
+            w = v * c
+        # rounding is monotone and c >= 0, so the peak of v c is the
+        # peak of v times c bit for bit
+        w_max = v_peak * c
+        # an infinite D scales every load to a zero field, whose stress
+        # D max|w''| would read inf times 0
+        finite = math.isfinite(w_max / NM) and math.isfinite(sigma_max) and math.isfinite(d)
     except OverflowError:
         finite = False
     if not finite:

@@ -399,6 +399,16 @@ def _release_estimate(footprint, holes, params, feed, h_s, pitch, max_time) -> f
     return best
 
 
+def _check_finite(obs: EtchObservation) -> None:
+    for name, value in (
+        ("time", obs.time),
+        ("underetch", obs.underetch),
+        ("film thickness", obs.sacrificial_thickness),
+    ):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+
+
 def _predicted(params: EtchParams, obs: EtchObservation) -> float:
     h_s = obs.sacrificial_thickness
     return _front(params, _feed(params, h_s, obs.hole), h_s, obs.time)
@@ -445,6 +455,8 @@ def calibrate_etch(
         if len(areas) < 2:
             raise CalibrationError("observations must span at least 2 hole sizes")
     for i, o in enumerate(obs):
+        with located(f"observation {i}", CalibrationError):
+            _check_finite(o)
         if not o.time > 0.0:
             raise CalibrationError(f"observation {i}: time must be > 0")
         if o.underetch < 0.0:
@@ -463,7 +475,8 @@ def calibrate_etch(
 
     def residuals(x, subset):
         trial = dict(current)
-        trial.update(dict(zip(subset, x)))
+        # Python floats keep _front on its float path, off numpy scalars
+        trial.update(dict(zip(subset, x.tolist())))
         trial["intrinsic_rate"] = max(trial["intrinsic_rate"], rate_floor)
         p = EtchParams(**trial)
         return np.array([_predicted(p, o) - o.underetch for o in obs]) / UM
@@ -511,14 +524,15 @@ def _parse_observations(text: str, source: str) -> list[EtchObservation]:
                 raise DataFileError(f"unknown shape {shape!r}")
             make, dims = _HOLE_SHAPES[shape]
             hole = make(*(d * UM for d in (dim1, dim2)[: len(dims)]))
-            out.append(
-                EtchObservation(
-                    hole=hole,
-                    sacrificial_thickness=h_s * UM,
-                    time=t * MINUTE,
-                    underetch=u * UM,
-                )
+            obs = EtchObservation(
+                hole=hole,
+                sacrificial_thickness=h_s * UM,
+                time=t * MINUTE,
+                underetch=u * UM,
             )
+            # in SI units, so a time that overflows in seconds is caught
+            _check_finite(obs)
+            out.append(obs)
     return out
 
 

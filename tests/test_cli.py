@@ -330,13 +330,17 @@ class TestCalibrate:
         "row, message",
         [
             ("circle,4,0,1.1,2,1e300", "the scaled Jacobian of the residuals is not finite"),
-            ("circle,4,0,1.1,2,nan", "residuals are not finite at the start point"),
-            ("circle,4,0,1.1,2,inf", "etch front overflows"),
+            # a non-finite value is rejected where the file is read, at its line
+            ("circle,4,0,1.1,2,nan", "{where}: underetch must be finite"),
+            ("circle,4,0,1.1,2,inf", "{where}: underetch must be finite"),
             ("circle,4,0,1.1,1e-300,1.0", "the scaled Jacobian of the residuals is not finite"),
             ("circle,4,0,1.1,1e300,1.0", "the scaled Jacobian of the residuals is not finite"),
+            ("circle,4,0,1.1,inf,1.0", "{where}: time must be finite"),
+            ("circle,4,0,1.1,1e308,1.0", "{where}: time must be finite"),  # inf in seconds
             ("circle,4,0,1e300,2,1.0", "etch front overflows"),
+            ("circle,4,0,inf,2,1.0", "{where}: film thickness must be finite"),
         ],
-        ids=["u-1e300", "u-nan", "u-inf", "t-1e-300", "t-1e300", "h-1e300"],
+        ids=["u-1e300", "u-nan", "u-inf", "t-1e-300", "t-1e300", "t-inf", "t-1e308", "h-1e300", "h-inf"],
     )
     def test_hostile_observation_prints_one_line(self, tmp_path, capsys, row, message):
         path = tmp_path / "hostile.csv"
@@ -347,7 +351,8 @@ class TestCalibrate:
         assert code == 2
         assert_clean_exit(code, out, err)
         assert len(err.splitlines()) == 1
-        assert err.startswith(f"zeropack: input error: {message}")
+        where = f"{path}:{len(bundled.splitlines()) + 1}"
+        assert err.startswith(f"zeropack: input error: {message.format(where=where)}")
 
 
 class TestCheckMolding:

@@ -1,3 +1,5 @@
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -147,6 +149,17 @@ class TestSolvePlate:
         sol = solve_plate(lto_plate, 64)
         assert max_bending_stress(lto_plate, sol) == sol.sigma_max
 
+    def test_stress_does_not_depend_on_youngs_modulus(self, lto):
+        # sigma = 6 q M(nu) / t^2: the rigidity cancels, bit for bit
+        sols = [
+            solve_plate(PlateSpec(30 * UM, 45 * UM, 3 * UM, material, 10 * MPA), 64)
+            for material in (
+                lto.with_overrides(youngs_modulus=e) for e in (1 * GPA, 70 * GPA, 250 * GPA, 1e9 * GPA)
+            )
+        ]
+        assert len({sol.sigma_max for sol in sols}) == 1
+        assert len({sol.w_max for sol in sols}) == 4
+
 
 OPERATOR_GRIDS = [
     (30 * UM, 30 * UM, 16),
@@ -215,6 +228,59 @@ class TestClampedOperator:
             moment = max(np.abs(-d * (wxx + nu * wyy)).max(), np.abs(-d * (wyy + nu * wxx)).max())
             want = float(6.0 * moment / spec.thickness**2)
             assert mechanics._peak_stress(spec, w, n) == want
+
+
+def field_extrema(spec, n):
+    """``(w_max, sigma_max)`` from the scaled deflection field itself and
+    its second differences, or ``None`` where either is not finite."""
+    _, _, v = mechanics._unit_solution(spec.side_a, spec.side_b, n)
+    try:
+        with np.errstate(all="ignore"):
+            w = v * (spec.pressure / flexural_rigidity(spec.material, spec.thickness))
+            w_max = float(max(w.max(), -w.min()))
+            sigma_max = mechanics._peak_stress(spec, w, n)
+    except OverflowError:
+        return None
+    if not (math.isfinite(w_max / NM) and math.isfinite(sigma_max)):
+        return None
+    return w_max, sigma_max
+
+
+class TestExtremaFromTheUnitField:
+    @pytest.mark.parametrize("side_a, side_b, n", OPERATOR_GRIDS, ids=OPERATOR_IDS)
+    def test_match_the_scaled_field(self, materials, side_a, side_b, n):
+        for material in materials.values():
+            spec = PlateSpec(side_a, side_b, min(side_a, side_b) / 10, material, 10 * MPA)
+            sol = solve_plate(spec, n)
+            w_max, sigma_max = field_extrema(spec, n)
+            assert sol.w_max == w_max
+            assert sol.sigma_max == pytest.approx(sigma_max, rel=1e-15, abs=0.0)
+
+    def test_extreme_values_keep_their_outcome(self, materials):
+        # a solve fails exactly where the field's own extrema are not
+        # finite, and a finite solve keeps the field's w_max bit for bit
+        outcomes = set()
+        sides = [(30 * UM, 30 * UM), (30 * UM, 45 * UM), (33.7 * UM, 48.2 * UM), (1e-3, 1.5e-3)]
+        for (side_a, side_b), material, t, n, q in itertools.product(
+            sides,
+            materials.values(),
+            (1e-60, 0.5 * UM, 4.5 * UM, 1e30, 1e100),
+            (16, 17, 128),
+            (0.0, 1.0, 1e7, 1e100, 1e200, 1e300),
+        ):
+            spec = PlateSpec(side_a, side_b, t, material, q)
+            want = field_extrema(spec, n)
+            try:
+                sol = solve_plate(spec, n)
+            except SolverError:
+                assert want is None
+                outcomes.add("error")
+                continue
+            assert want is not None
+            assert sol.w_max == want[0]
+            assert sol.sigma_max == pytest.approx(want[1], rel=1e-15, abs=0.0)
+            outcomes.add("finite")
+        assert outcomes == {"error", "finite"}
 
 
 class TestMoldingDeflections:

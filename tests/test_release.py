@@ -192,6 +192,17 @@ class TestCalibration:
         with pytest.raises(CalibrationError, match="hole sizes"):
             calibrate_etch(obs)
 
+    @pytest.mark.parametrize(
+        "field, name",
+        [("time", "time"), ("underetch", "underetch"), ("sacrificial_thickness", "film thickness")],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_observation_rejected(self, field, name, value):
+        obs = self.synthetic_observations(PARAMS)
+        obs[2] = replace(obs[2], **{field: value})
+        with pytest.raises(CalibrationError, match=f"^observation 2: {name} must be finite$"):
+            calibrate_etch(obs)
+
     def test_no_free_parameters_rejected(self):
         obs = self.synthetic_observations(PARAMS)
         with pytest.raises(CalibrationError):
@@ -529,6 +540,9 @@ class TestObservationFiles:
             ("circle, x, 0, 1.1, 2, 0.4", "could not convert"),
             ("hexagon, 2, 0, 1.1, 2, 0.4", "unknown shape"),
             ("circle, -2, 0, 1.1, 2, 0.4", "positive"),
+            ("circle, 2, 0, 1.1, 2, nan", ":1: underetch must be finite"),
+            ("circle, 2, 0, inf, 2, 0.4", ":1: film thickness must be finite"),
+            ("circle, 2, 0, 1.1, 1e308, 0.4", ":1: time must be finite"),
         ],
     )
     def test_malformed_lines_rejected(self, tmp_path, line, match):
