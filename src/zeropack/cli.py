@@ -11,7 +11,9 @@ Common options: ``--format {text,tabular}`` and ``--out <file>``.
 
 Exit codes: 0 success, 1 a pass/fail constraint failed, 2 input error
 (also a path that cannot be read or written), 3 model error (release too
-slow, hole does not seal, solver failure, a result that is not finite).
+slow, hole does not seal, solver failure, a result that is not finite),
+70 internal error (any other exception: a fault in zeropack itself,
+``EX_SOFTWARE`` of BSD ``sysexits.h``). Every error is one stderr line.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .units import MINUTE, MPA, NM, UM
 EXIT_OK = 0
 EXIT_CONSTRAINT = 1
 EXIT_INPUT = 2
+EXIT_SOFTWARE = 70
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -188,6 +191,9 @@ def main(argv: "list[str] | None" = None) -> int:
             # an unreadable or unwritable path, or a bad argument value
             print(f"zeropack: input error: {exc}", file=sys.stderr)
             return EXIT_INPUT
+        except Exception as exc:
+            print(f"zeropack: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

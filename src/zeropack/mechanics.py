@@ -16,13 +16,15 @@ symmetry is exact. The load-independent unit solution is cached per
 
 Bending stress is ``sigma = 6 M / t^2`` with the moments
 ``M = -D (w_xx + nu w_yy)`` and ``-D (w_yy + nu w_xx)`` of the clamped
-second differences, maximized over the grid; for a uniformly loaded
-clamped plate the maximum sits at the mid-edge. With ``w = v q / D`` the
-rigidity cancels: ``sigma_max = 6 q M(nu) / t^2``, where ``M(nu)`` is the
-moment peak of the unit field ``v``, cached as a float per
-(side_a, side_b, grid_n, nu) beside the peak of ``v`` itself. So the
-stress does not depend on Young's modulus, and a warm solve reads both
-extrema from two cached scalars instead of differencing the field.
+second differences. For a uniformly loaded clamped plate the peak sits on
+the edge, at the middle of the long side, where ``w = 0`` along the edge
+makes the tangential difference exactly 0: the edge moment is
+``D 2 |w_1| / h^2``, with no ``nu`` in it. With ``w = v q / D`` the
+rigidity cancels: ``sigma_max = 6 q M / t^2``, where ``M = 2 max|v_1| / h^2``
+is the edge moment of the unit field ``v``, cached as a float per
+(side_a, side_b, grid_n) beside the peak of ``v`` itself. So the stress
+depends on neither elastic constant, and a warm solve reads both extrema
+from two cached scalars.
 """
 
 from __future__ import annotations
@@ -92,23 +94,6 @@ def flexural_rigidity(material: Material, thickness: float) -> float:
 # w'' = 2 w_1 / h^2. The same factor puts the diagonal term 2/h^4 on the
 # first and last interior node of the line's fourth difference.
 _EDGE_ROW = 2.0
-
-
-def _clamped_second_difference(w: np.ndarray, h: float) -> np.ndarray:
-    """Second difference of ``w`` along its last axis, a grid line of
-    spacing ``h`` clamped at both ends: centred on interior nodes,
-    ``_EDGE_ROW * w_1 / h^2`` on the edge nodes."""
-    d = np.empty_like(w)
-    # filled in place, with no full-field temporaries; the same roundings
-    # as (w[:-2] - 2 w[1:-1] + w[2:]) / h^2, since -2 w is exact negation
-    inner = d[..., 1:-1]
-    np.multiply(w[..., 1:-1], -2.0, out=inner)
-    inner += w[..., :-2]
-    inner += w[..., 2:]
-    inner /= h**2
-    d[..., 0] = _EDGE_ROW * w[..., 1] / h**2
-    d[..., -1] = _EDGE_ROW * w[..., -2] / h**2
-    return d
 
 
 def _sine_basis(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -194,41 +179,25 @@ def _unit_solution(side_a: float, side_b: float, grid_n: int):
     return x, y, v
 
 
-def _curvatures(w: np.ndarray, hx: float, hy: float):
-    """Second differences of the field along x (each row of ``w``) and y
-    (each column), clamped on all four edges."""
-    return (
-        _clamped_second_difference(w, hx),
-        _clamped_second_difference(w.T, hy).T,
-    )
-
-
 @lru_cache(maxsize=128)
-def _unit_peaks(side_a: float, side_b: float, grid_n: int, nu: float):
-    """Peak deflection ``max |v|`` and peak moment ``max |v_xx + nu v_yy|,
-    |v_yy + nu v_xx|`` of the unit solution; cached per geometry and
-    Poisson ratio as floats."""
+def _unit_peaks(side_a: float, side_b: float, grid_n: int):
+    """Peak deflection ``max |v|`` and edge moment peak ``M`` of the unit
+    solution, cached per geometry as floats. The field is mirror-symmetric,
+    so its first row and column stand for all four clamped edges."""
     _, _, v = _unit_solution(side_a, side_b, grid_n)
     v_peak = float(max(v.max(), -v.min()))
-    return v_peak, _moment_peak(v, side_a / grid_n, side_b / grid_n, nu)
-
-
-def _moment_peak(w: np.ndarray, hx: float, hy: float, nu: float) -> float:
-    """``max |w_xx + nu w_yy|, |w_yy + nu w_xx|`` over the field."""
-    wxx, wyy = _curvatures(w, hx, hy)
-    # built in place, the second sum in the wxx buffer
-    zx = np.multiply(wyy, nu)
-    zx += wxx
-    wxx *= nu
-    wxx += wyy
-    return float(max(zx.max(), -zx.min(), wxx.max(), -wxx.min()))
+    m_hat = max(
+        _EDGE_ROW * np.abs(v[1]).max() / (side_b / grid_n) ** 2,
+        _EDGE_ROW * np.abs(v[:, 1]).max() / (side_a / grid_n) ** 2,
+    )
+    return v_peak, float(m_hat)
 
 
 def _extrema(spec: PlateSpec, grid_n: int) -> tuple[float, float]:
     """``max |v|`` of the unit field and the peak bending stress
-    ``6 q M(nu) / t^2``, in which the rigidity cancels."""
-    v_peak, m_hat = _unit_peaks(spec.side_a, spec.side_b, grid_n, spec.material.poisson_ratio)
-    # q M(nu) is the peak moment, so this order adds no overflow to that
+    ``6 q M / t^2``, in which the rigidity cancels."""
+    v_peak, m_hat = _unit_peaks(spec.side_a, spec.side_b, grid_n)
+    # q M is the peak moment, so this order adds no overflow to that
     # of 6 D max|w''| / t^2 on the scaled field
     return v_peak, 6.0 * (spec.pressure * m_hat) / spec.thickness**2
 
@@ -238,25 +207,15 @@ def max_bending_stress(spec: PlateSpec, solution: PlateSolution) -> float:
     return _extrema(spec, solution.grid_n)[1]
 
 
-def _peak_stress(spec: PlateSpec, w: np.ndarray, grid_n: int) -> float:
-    """Largest bending stress of the deflection field ``w``, from its own
-    second differences."""
-    d = flexural_rigidity(spec.material, spec.thickness)
-    # |-d z| = d |z| and rounding keeps the order of d z for d > 0, so
-    # d max|z| is the largest moment bit for bit
-    nu = spec.material.poisson_ratio
-    moment = d * _moment_peak(w, spec.side_a / grid_n, spec.side_b / grid_n, nu)
-    return float(6.0 * moment / spec.thickness**2)
-
-
 def solve_plate(spec: PlateSpec, grid_n: int = 128) -> PlateSolution:
     """Deflection of the clamped plate on a (grid_n+1)^2 node grid."""
     if grid_n < MIN_GRID_N:
         raise ValueError(f"grid_n must be >= {MIN_GRID_N}")
     x, y, v = _unit_solution(spec.side_a, spec.side_b, grid_n)
     # the deflection must stay finite in nm, the unit it is reported in;
-    # a t^2 or t^3 past the float range raises, an overflowing q / D
-    # turns the clamped edges' zeros into nan
+    # a t^2 or t^3 past the float range raises, so does a q / D whose D
+    # underflows to 0, and an overflowing q / D turns the clamped edges'
+    # zeros into nan
     try:
         v_peak, sigma_max = _extrema(spec, grid_n)
         d = flexural_rigidity(spec.material, spec.thickness)
@@ -269,7 +228,7 @@ def solve_plate(spec: PlateSpec, grid_n: int = 128) -> PlateSolution:
         # an infinite D scales every load to a zero field, whose stress
         # D max|w''| would read inf times 0
         finite = math.isfinite(w_max / NM) and math.isfinite(sigma_max) and math.isfinite(d)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         finite = False
     if not finite:
         raise SolverError("plate deflection or stress is not finite")

@@ -4,8 +4,9 @@ Each oracle deliberately avoids the code path it validates: the etch
 oracle integrates the front ODE with plain explicit Euler, the plate
 oracle is a polynomial Rayleigh-Ritz energy minimization (no finite
 differences), the plate-operator oracle assembles the 13-point stencil
-node by node with mirror ghosts (the program builds it from Kronecker
-products of one 1-D clamped difference), the residue oracle is brute
+node by node with mirror ghosts (the program solves in a sine basis),
+the stress oracle differences the whole field (the program reads the
+moment from the clamped edges only), the residue oracle is brute
 trapezoid quadrature, the coverage oracle rasterises every hole at
 every point, and the release-time oracle bisects on that dense coverage
 at every step (the program bisects on an arrival-time estimate and asks
@@ -169,6 +170,27 @@ def edge_row_curvatures(w, hx, hy):
     wyy[0, :] = 2.0 * w[1, :] / hy**2
     wyy[-1, :] = 2.0 * w[-2, :] / hy**2
     return wxx, wyy
+
+
+def moment_peak(w, hx, hy, nu):
+    """``max(|w_xx + nu w_yy|, |w_yy + nu w_xx|)`` over every node of a
+    clamped field, with the curvatures of ``edge_row_curvatures``."""
+    wxx, wyy = edge_row_curvatures(w, hx, hy)
+    return float(max(np.abs(wxx + nu * wyy).max(), np.abs(wyy + nu * wxx).max()))
+
+
+def peak_stress(spec, w, grid_n):
+    """Largest bending stress of the deflection field ``w`` of a clamped
+    plate on a ``grid_n`` cell grid, from the documented formula:
+    ``D = E t^3 / (12 (1 - nu^2))`` and
+    ``sigma = 6 max(|D (w_xx + nu w_yy)|, |D (w_yy + nu w_xx)|) / t^2``
+    over every node of the field."""
+    nu = spec.material.poisson_ratio
+    t = spec.thickness
+    d = spec.material.youngs_modulus * t**3 / (12.0 * (1.0 - nu**2))
+    # |D z| = D |z| and rounding is monotone, so D max|z| is max|D z|
+    moment = d * moment_peak(w, spec.side_a / grid_n, spec.side_b / grid_n, nu)
+    return 6.0 * moment / t**2
 
 
 def _dilated_distance(hole, cx, cy, reach, x, y):

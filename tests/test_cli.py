@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import FAST_RECIPE, REFERENCE_RECIPE, REPO, SRC
-from zeropack import mechanics
+from zeropack import cli, mechanics
 from zeropack import release as release_mod
 from zeropack.cli import main
 from zeropack.pipeline import parse_tabular_report
@@ -525,6 +525,36 @@ class TestHostileInput:
         assert code == status
         assert_clean_exit(code, out, err)
         assert err.splitlines()[-1].startswith(f"zeropack: {message}")
+
+    @pytest.mark.parametrize("command", ["simulate", "check-molding"])
+    def test_rigidity_underflow_is_a_model_error(self, tmp_path, capsys, command):
+        # the cap's t^3 underflows to 0, so the load has no q / D to scale by
+        recipe = tmp_path / "tiny.recipe"
+        recipe.write_text(
+            FAST_RECIPE.replace("cap_thickness = 2um", "cap_thickness = 1e-105um").replace(
+                "clog_deposition = 2.5um", "clog_deposition = 1e-105um"
+            )
+        )
+        code = main([command, str(recipe), "--format", "tabular"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert_clean_exit(code, out, err)
+        assert err.splitlines() == [
+            "zeropack: model error: molding: plate deflection or stress is not finite"
+        ]
+
+    def test_internal_fault_exits_seventy(self, fast_recipe_file, capsys, monkeypatch):
+        # an exception no handler names is a fault in zeropack itself
+        def broken(recipe):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "run_recipe", broken)
+        code = main(["simulate", str(fast_recipe_file)])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_SOFTWARE == 70
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.splitlines() == ["zeropack: internal error: RuntimeError: boom"]
 
     @pytest.mark.parametrize(
         "args",

@@ -4,9 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
-from oracles import edge_row_curvatures, ritz_clamped_square, stencil_plate_operator
+from oracles import moment_peak, peak_stress, ritz_clamped_square, stencil_plate_operator
 from zeropack import mechanics
 from zeropack.errors import SolverError
 from zeropack.geometry import Material
@@ -145,6 +147,12 @@ class TestSolvePlate:
         with pytest.raises(ValueError):
             PlateSpec(30 * UM, 30 * UM, 4.5 * UM, lto, -1.0)
 
+    @pytest.mark.parametrize("q", [0.0, 10 * MPA])
+    def test_rigidity_underflow_is_a_solver_error(self, lto, q):
+        # t^3 underflows to 0, so no load can be scaled by q / D
+        with pytest.raises(SolverError, match="not finite"):
+            solve_plate(PlateSpec(30 * UM, 30 * UM, 1e-111, lto, q), 32)
+
     def test_max_bending_stress_consistent(self, lto_plate):
         sol = solve_plate(lto_plate, 64)
         assert max_bending_stress(lto_plate, sol) == sol.sigma_max
@@ -206,39 +214,17 @@ class TestClampedOperator:
         with pytest.raises(SolverError):
             mechanics._unit_solution.__wrapped__(side, side, 16)
 
-    @pytest.mark.parametrize("side_a, side_b, n", OPERATOR_GRIDS, ids=OPERATOR_IDS)
-    def test_curvatures_equal_edge_row_formulas(self, side_a, side_b, n):
-        hx, hy = side_a / n, side_b / n
-        _, _, v = mechanics._unit_solution(side_a, side_b, n)
-        noise = np.random.default_rng(n).standard_normal(v.shape)
-        for w in (v, noise):
-            for got, want in zip(mechanics._curvatures(w, hx, hy), edge_row_curvatures(w, hx, hy)):
-                assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("side_a, side_b, n", OPERATOR_GRIDS, ids=OPERATOR_IDS)
-    def test_peak_stress_equals_the_moment_formula(self, nitride, side_a, side_b, n):
-        # bit for bit, on the unit field and on noise of both signs
-        spec = PlateSpec(side_a, side_b, min(side_a, side_b) / 10, nitride, 1 * MPA)
-        d = flexural_rigidity(nitride, spec.thickness)
-        nu = nitride.poisson_ratio
-        _, _, v = mechanics._unit_solution(side_a, side_b, n)
-        noise = np.random.default_rng(n).standard_normal(v.shape)
-        for w in (v, noise):
-            wxx, wyy = edge_row_curvatures(w, side_a / n, side_b / n)
-            moment = max(np.abs(-d * (wxx + nu * wyy)).max(), np.abs(-d * (wyy + nu * wxx)).max())
-            want = float(6.0 * moment / spec.thickness**2)
-            assert mechanics._peak_stress(spec, w, n) == want
-
 
 def field_extrema(spec, n):
     """``(w_max, sigma_max)`` from the scaled deflection field itself and
-    its second differences, or ``None`` where either is not finite."""
+    the stress oracle over all its nodes, or ``None`` where either is not
+    finite."""
     _, _, v = mechanics._unit_solution(spec.side_a, spec.side_b, n)
     try:
         with np.errstate(all="ignore"):
             w = v * (spec.pressure / flexural_rigidity(spec.material, spec.thickness))
             w_max = float(max(w.max(), -w.min()))
-            sigma_max = mechanics._peak_stress(spec, w, n)
+            sigma_max = peak_stress(spec, w, n)
     except OverflowError:
         return None
     if not (math.isfinite(w_max / NM) and math.isfinite(sigma_max)):
@@ -281,6 +267,25 @@ class TestExtremaFromTheUnitField:
             assert sol.sigma_max == pytest.approx(want[1], rel=1e-15, abs=0.0)
             outcomes.add("finite")
         assert outcomes == {"error", "finite"}
+
+    @given(
+        short=st.floats(1 * UM, 1e-3),
+        aspect=st.floats(0.0, 3.0),
+        tall=st.booleans(),
+        n=st.integers(16, 256),
+        nu=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+    )
+    def test_moment_peaks_on_the_clamped_edges(self, short, aspect, tall, n, nu):
+        # the unit field's moment peak over every node is its edge peak,
+        # for every Poisson ratio, bit for bit
+        long = short * 10.0**aspect
+        side_a, side_b = (short, long) if tall else (long, short)
+        _, _, v = mechanics._unit_solution(side_a, side_b, n)
+        assert moment_peak(v, side_a / n, side_b / n, nu) == mechanics._unit_peaks(side_a, side_b, n)[1]
+        material = Material("test", poisson_ratio=nu)
+        spec = PlateSpec(side_a, side_b, short / 10, material, 10 * MPA)
+        sol = solve_plate(spec, n)
+        assert sol.sigma_max == pytest.approx(peak_stress(spec, sol.deflection, n), rel=1e-15, abs=0.0)
 
 
 class TestMoldingDeflections:
