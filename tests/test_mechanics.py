@@ -8,7 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
-from oracles import moment_peak, peak_stress, ritz_clamped_square, stencil_plate_operator
+from oracles import (
+    edge_row_curvatures,
+    moment_peak,
+    peak_stress,
+    ritz_clamped_square,
+    stencil_plate_operator,
+)
 from zeropack import mechanics
 from zeropack.errors import SolverError
 from zeropack.geometry import Material
@@ -213,6 +219,33 @@ class TestClampedOperator:
     def test_degenerate_geometry_is_a_solver_error(self, side):
         with pytest.raises(SolverError):
             mechanics._unit_solution.__wrapped__(side, side, 16)
+
+    @pytest.mark.parametrize("side_a, side_b, n", OPERATOR_GRIDS, ids=OPERATOR_IDS)
+    def test_curvatures_equal_edge_row_formulas(self, side_a, side_b, n):
+        # on the four clamped edges of the unit field the tangential second
+        # difference is exactly 0 and the normal one is the edge row value
+        # that _unit_peaks reads, bit for bit
+        hx, hy = side_a / n, side_b / n
+        _, _, v = mechanics._unit_solution(side_a, side_b, n)
+        wxx, wyy = edge_row_curvatures(v, hx, hy)
+        for edge in (wxx[0], wxx[-1], wyy[:, 0], wyy[:, -1]):
+            assert not edge.any()
+        v_peak, m_hat = mechanics._unit_peaks(side_a, side_b, n)
+        assert v_peak == np.abs(v).max()
+        edges = (wyy[0], wyy[-1], wxx[:, 0], wxx[:, -1])
+        assert m_hat == max(float(np.abs(edge).max()) for edge in edges)
+
+    @pytest.mark.parametrize("side_a, side_b, n", OPERATOR_GRIDS, ids=OPERATOR_IDS)
+    def test_peak_stress_equals_the_moment_formula(self, nitride, side_a, side_b, n):
+        # bit for bit: 6 q M / t^2, with M the moment peak over every node
+        # of the unit field
+        spec = PlateSpec(side_a, side_b, min(side_a, side_b) / 10, nitride, 1 * MPA)
+        _, _, v = mechanics._unit_solution(side_a, side_b, n)
+        moment = moment_peak(v, side_a / n, side_b / n, nitride.poisson_ratio)
+        want = 6.0 * (spec.pressure * moment) / spec.thickness**2
+        sol = solve_plate(spec, n)
+        assert sol.sigma_max == want
+        assert max_bending_stress(spec, sol) == want
 
 
 def field_extrema(spec, n):
