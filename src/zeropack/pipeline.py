@@ -11,6 +11,7 @@ text/tabular report formats.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 from . import clogging as clog_mod
@@ -36,6 +37,12 @@ SWEEP_COLUMNS = (
 )
 
 TABULAR_HEADER = "field,units,value"
+
+# The releases run so far by the sweep in progress, keyed by their inputs
+# (see _release). A context variable, so that every row stays one plain
+# run_recipe call; unset outside a sweep, where each run_recipe call runs
+# its own release.
+_sweep_releases: ContextVar[dict] = ContextVar("_sweep_releases")
 
 
 @dataclass(frozen=True)
@@ -87,6 +94,37 @@ def _molding(recipe: Recipe):
     }
 
 
+def _release(recipe: Recipe) -> tuple[float, float, float | None]:
+    """Release stage: the release time, the structural cap's loss to it,
+    and the deepest underetch at the probe time (None without one).
+
+    Inside a sweep, a recipe whose release inputs equal an earlier row's
+    takes that row's time and loss. The inputs are the arguments passed
+    to ``time_to_release``, with the stack reduced to its sacrificial
+    thickness, the only film the etch runs in.
+    """
+    stack = recipe.stack
+    footprint, holes, etch = stack.cavity_footprint, recipe.holes, recipe.etch
+    structural = recipe.material("structural")
+    max_time, pitch = recipe.etch_max_time, recipe.coverage_pitch
+    # == takes -0.0 for 0.0, but a loss of -0.0 prints as -0: the sign of
+    # the selectivity loss joins the key
+    loss_sign = math.copysign(1.0, structural.selectivity_loss)
+    key = (
+        footprint, holes, stack.sacrificial_thickness, etch, structural, loss_sign, max_time, pitch
+    )
+    releases = _sweep_releases.get({})
+    with located("release"):
+        if key not in releases:
+            releases[key] = release_mod.time_to_release(
+                footprint, holes, stack, etch, structural, max_time=max_time, grid_pitch=pitch
+            )
+        probe_u = None
+        if recipe.probe_time is not None:
+            probe_u = max(release_mod.underetch(h, stack, etch, recipe.probe_time) for h in holes)
+    return *releases[key], probe_u
+
+
 def run_recipe(recipe: Recipe) -> ProcessReport:
     """Execute the process stages in fabrication order.
 
@@ -94,24 +132,9 @@ def run_recipe(recipe: Recipe) -> ProcessReport:
     """
     stack = recipe.stack
     holes = recipe.holes
-    structural = recipe.material("structural")
     sealing = recipe.material("sealing")
 
-    with located("release"):
-        release_time, structural_loss = release_mod.time_to_release(
-            stack.cavity_footprint,
-            holes,
-            stack,
-            recipe.etch,
-            structural,
-            max_time=recipe.etch_max_time,
-            grid_pitch=recipe.coverage_pitch,
-        )
-        probe_u = None
-        if recipe.probe_time is not None:
-            probe_u = max(
-                release_mod.underetch(h, stack, recipe.etch, recipe.probe_time) for h in holes
-            )
+    release_time, structural_loss, probe_u = _release(recipe)
 
     with located("clogging"):
         clog_thickness = tuple(
@@ -190,17 +213,27 @@ def sweep(
     """Run the recipe once per value of one numeric field.
 
     Every value is checked before the first row runs; the rows then run
-    one after another in input order. ``max_workers`` is accepted and has
-    no effect. ``labels`` (default ``%.6g`` of each value) become the
-    first column of the emitted table and name a rejected value in its
-    error.
+    one after another in input order, each through :func:`run_recipe`.
+    Rows with equal release inputs share one release: only the first
+    runs ``time_to_release``, and the others take its time and loss.
+    ``max_workers`` is accepted and has no effect. ``labels`` (default
+    ``%.6g`` of each value) become the first column of the emitted table
+    and name the value in the error of a rejected value or a failed row.
     """
     if labels is None:
         labels = [f"{v:.6g}" for v in values]
     if len(labels) != len(values):
         raise ValueError("labels must match values")
     recipes = [_set_field(recipe, path, v, f"{path} = {lb}") for v, lb in zip(values, labels)]
-    return [(lb, run_recipe(r)) for lb, r in zip(labels, recipes)]
+    token = _sweep_releases.set({})
+    try:
+        rows = []
+        for lb, r in zip(labels, recipes):
+            with located(f"{path} = {lb}"):
+                rows.append((lb, run_recipe(r)))
+        return rows
+    finally:
+        _sweep_releases.reset(token)
 
 
 def _fmt(value: float) -> str:

@@ -194,6 +194,27 @@ class TestSweep:
         assert code == 2
         assert capsys.readouterr().err == f"zeropack: input error: {path} = 1um: {message}\n"
 
+    def test_failed_row_names_its_value(self, capsys):
+        # the 600min row releases; the 1min row does not, and its error
+        # names the value as the user wrote it before the stage
+        code = main(
+            [
+                "sweep",
+                str(REFERENCE_RECIPE),
+                "--param",
+                "release.max_time",
+                "--values",
+                "600min,1min",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "zeropack: model error: release.max_time = 1min: release: "
+            "footprint not fully released after 1 min\n"
+        )
+
     def test_workers_give_identical_output(self, fast_recipe_file, capsys):
         args = [
             "sweep",

@@ -4,6 +4,7 @@ import functools
 import pytest
 
 from zeropack import mechanics
+from zeropack import release as release_mod
 from zeropack.clogging import aperture_after, residue_estimate, thickness_to_clog
 from zeropack.errors import RecipeError, ReleaseTooSlowError
 from zeropack.mechanics import PlateSpec, solve_plate
@@ -17,9 +18,61 @@ from zeropack.pipeline import (
     set_param,
     sweep,
 )
-from zeropack.recipe import parse_recipe
+from zeropack.recipe import _FIELDS, parse_recipe
 from zeropack.release import time_to_release, underetch
 from zeropack.units import GPA, MBAR, MINUTE, MPA, NM, UM
+
+
+# Two or three in-range values of every sweepable path of FAST_RECIPE;
+# each value but the max_deposition ones gives its own report. The release
+# inputs among them each change the release, so a sweep that took one
+# row's release for another's would fail the row equality test. The
+# footprint, the one release input that no path sets, is the same on
+# every row of a sweep.
+SWEEP_VALUES = {
+    "stack.sacrificial_thickness": [0.8 * UM, 1.1 * UM, 1.5 * UM],
+    "stack.cap_thickness": [1.5 * UM, 2 * UM],
+    "stack.clog_deposition": [2 * UM, 2.5 * UM],
+    "release.intrinsic_rate": [0.5 * UM / MINUTE, 1 * UM / MINUTE],
+    "release.aperture_factor": [10 * UM, 30 * UM],
+    "release.channel_factor": [0.2, 0.5],
+    # 16.4 min caps the doubling of the search below 32 min
+    "release.max_time": [120 * MINUTE, 16.4 * MINUTE],
+    "release.coverage_pitch": [0.05 * UM, 0.1 * UM, 0.2 * UM],
+    "release.probe_time": [1 * MINUTE, 3 * MINUTE],
+    "clogging.closure_per_side": [0.3, 0.5],
+    "clogging.reference_sticking": [0.2, 0.5],
+    "clogging.knee_ratio": [0.5, 1.0],
+    "clogging.floor_attenuation": [0.2, 0.5],
+    "clogging.residue_fraction": [0.01, 0.05],
+    "clogging.residue_spread": [0.5, 1.0],
+    "clogging.max_deposition": [5 * UM, 10 * UM],
+    "clogging.chamber_pressure": [1e-6 * MBAR, 1e-5 * MBAR],
+    "molding.pressure": [5 * MPA, 10 * MPA],
+    "molding.max_deflection": [0.01 * NM, 100 * NM],
+    "molding.safety_factor": [1.0, 1000.0],
+    "molding.grid_n": [16, 32],
+    "holes.diameter": [2 * UM, 2.5 * UM],
+    "holes[0].diameter": [2 * UM, 2.5 * UM],
+    # the structural film; a zero loss rate of either sign
+    "materials.sio2_sputter.selectivity_loss": [0.0, -0.0, 1 * NM / MINUTE],
+}
+# a deposition cap that the seal stays under leaves every result as it is
+REPORT_UNCHANGED = {"clogging.max_deposition"}
+
+
+@pytest.fixture()
+def release_calls(monkeypatch):
+    """The arguments of every ``time_to_release`` call the test makes."""
+    calls = []
+    time_to_release = release_mod.time_to_release
+
+    def counted_time_to_release(*args, **kwargs):
+        calls.append(args)
+        return time_to_release(*args, **kwargs)
+
+    monkeypatch.setattr(release_mod, "time_to_release", counted_time_to_release)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +315,47 @@ class TestSweep:
         rows = sweep(fast_recipe, path, values)
         assert len(rows) == len(values)
         assert len(solved) == solves
+
+    @pytest.mark.parametrize(
+        "path, values, releases",
+        [
+            ("stack.clog_deposition", [(1.5 + 0.25 * i) * UM for i in range(4)], 1),
+            ("holes.diameter", [2 * UM, 3 * UM, 2 * UM], 2),
+            ("molding.grid_n", [16, 32], 1),
+        ],
+        ids=["clog_deposition", "hole_diameter", "grid_n"],
+    )
+    def test_sweep_runs_each_distinct_release_once(
+        self, fast_recipe, release_calls, path, values, releases
+    ):
+        rows = sweep(fast_recipe, path, values)
+        assert len(rows) == len(values)
+        assert len(release_calls) == releases
+
+    def test_no_release_is_kept_past_a_sweep(self, fast_recipe, release_calls):
+        sweep(fast_recipe, "stack.clog_deposition", [2.5 * UM])
+        with pytest.raises(ReleaseTooSlowError):
+            sweep(fast_recipe, "release.max_time", [60 * MINUTE, 0.5 * MINUTE])
+        release_calls.clear()
+        run_recipe(fast_recipe)
+        run_recipe(fast_recipe)
+        assert len(release_calls) == 2
+
+    @pytest.mark.parametrize("path", [*_FIELDS, *sorted(SWEEP_VALUES.keys() - _FIELDS.keys())])
+    def test_rows_equal_run_recipe_on_each_row(self, fast_recipe, path):
+        values = SWEEP_VALUES[path]
+        rows = sweep(fast_recipe, path, values)
+        alone = [run_recipe(set_param(fast_recipe, path, v)) for v in values]
+        assert [report for _, report in rows] == alone
+        # byte for byte too: == takes -0.0 for 0.0
+        for (_, report), expected in zip(rows, alone):
+            assert emit_report(report, "tabular") == emit_report(expected, "tabular")
+        if path not in REPORT_UNCHANGED:
+            assert len({emit_report(r, "tabular") for r in alone}) == len(values)
+
+    def test_failed_row_names_its_value(self, fast_recipe):
+        with pytest.raises(ReleaseTooSlowError, match=r"^release\.max_time = 30: release: "):
+            sweep(fast_recipe, "release.max_time", [60 * MINUTE, 0.5 * MINUTE])
 
     def test_custom_labels(self, fast_recipe):
         rows = sweep(fast_recipe, "holes.diameter", [2 * UM], labels=["2um"])
