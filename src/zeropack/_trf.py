@@ -49,12 +49,12 @@ OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 from __future__ import annotations
 
 import numpy as np
-from numpy.linalg import norm
 
 from .errors import CalibrationError
 
 EPS = np.finfo(float).eps
 TOL = 1e-8  # ftol, xtol and gtol
+STEP = EPS**0.5  # relative forward-difference step
 
 # looked up at call time, so that a test can swap in scipy.linalg.svd
 svd = np.linalg.svd
@@ -70,45 +70,59 @@ def least_squares(fun, x0, lb) -> tuple[np.ndarray, np.ndarray]:
     """
     lb = np.asarray(lb, dtype=float)
     with np.errstate(all="ignore"):
-        return _trf_bounds(fun, _interior(np.asarray(x0, dtype=float), lb, 1e-10), lb)
+        return _trf_bounds(fun, _interior(np.array(x0, dtype=float), lb, 1e-10), lb)
+
+
+def _norm(x):
+    """``numpy.linalg.norm(x)`` of a 1-D array, by numpy's own expression
+    for it without the dispatch: the same dot product, a numpy scalar."""
+    return np.sqrt(x.dot(x))
+
+
+def _norm_inf(x):
+    """``numpy.linalg.norm(x, ord=np.inf)`` of a 1-D array, likewise."""
+    return np.abs(x).max(initial=0.0)
 
 
 def _trf_bounds(fun, x, lb):
     f = fun(x)
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise CalibrationError("residuals are not finite at the start point")
     J = _jacobian(fun, x, f)
     m, n = J.shape
-    cost = 0.5 * np.dot(f, f)
+    cost = 0.5 * f.dot(f)
     g = J.T.dot(f)
-    scale_inv = np.sum(J**2, axis=0) ** 0.5
+    scale_inv = np.sqrt(np.square(J).sum(axis=0))
     scale_inv[scale_inv == 0] = 1
     scale = 1 / scale_inv
     v, dv = _cl_scaling(x, g, lb)
-    v[dv != 0] *= scale_inv[dv != 0]
-    Delta = norm(x * scale_inv / v**0.5)
+    np.multiply(v, scale_inv, out=v, where=dv)
+    Delta = _norm(x * scale_inv / np.sqrt(v))
     if Delta == 0:
         Delta = 1.0
     nfev, max_nfev = 1, 100 * n
+    # [J_h; diag(diag_h)**0.5] and [f; 0], refilled in place: only the
+    # top rows and the diagonal below them change between iterations
     f_augmented = np.zeros(m + n)
-    J_augmented = np.empty((m + n, n))
+    J_augmented = np.zeros((m + n, n))
+    J_h = J_augmented[:m]
+    diag_root = J_augmented[m:].reshape(-1)[:: n + 1]
     alpha = 0.0  # the Levenberg-Marquardt parameter, carried between steps
     done = False
     while True:
         v, dv = _cl_scaling(x, g, lb)
-        g_norm = norm(g * v, ord=np.inf)
+        g_norm = _norm_inf(g * v)
         if done or g_norm < TOL or nfev == max_nfev:
             break
         # "hat" space: Jacobian scaling first, then Coleman-Li scaling
-        v[dv != 0] *= scale_inv[dv != 0]
-        d = v**0.5 * scale
+        np.multiply(v, scale_inv, out=v, where=dv)
+        d = np.sqrt(v) * scale
         diag_h = g * dv * scale
         g_h = d * g
         f_augmented[:m] = f
-        J_augmented[:m] = J * d
-        J_h = J_augmented[:m]
-        J_augmented[m:] = np.diag(diag_h**0.5)
-        if not np.all(np.isfinite(J_augmented)):
+        np.multiply(J, d, out=J_h)
+        np.sqrt(diag_h, out=diag_root)
+        if not np.isfinite(J_augmented).all():
             raise CalibrationError("the scaled Jacobian of the residuals is not finite")
         U, s, V = svd(J_augmented, full_matrices=False)
         V = V.T
@@ -125,18 +139,18 @@ def _trf_bounds(fun, x, lb):
             x_new = _interior(x + step, lb, 0)
             f_new = fun(x_new)
             nfev += 1
-            step_h_norm = norm(step_h)
-            if not np.all(np.isfinite(f_new)):
+            step_h_norm = _norm(step_h)
+            if not np.isfinite(f_new).all():
                 Delta = 0.25 * step_h_norm
                 continue
-            cost_new = 0.5 * np.dot(f_new, f_new)
+            cost_new = 0.5 * f_new.dot(f_new)
             actual_reduction = cost - cost_new
             Delta_new, ratio = _update_tr_radius(
                 Delta, actual_reduction, predicted_reduction,
                 step_h_norm, step_h_norm > 0.95 * Delta,
             )
             ftol_met = actual_reduction < TOL * cost and ratio > 0.25
-            done = ftol_met or norm(step) < TOL * (TOL + norm(x))
+            done = ftol_met or _norm(step) < TOL * (TOL + _norm(x))
             if done:
                 break
             alpha *= Delta / Delta_new
@@ -148,7 +162,7 @@ def _trf_bounds(fun, x, lb):
                 break  # scipy also differentiates here; nothing reads it
             J = _jacobian(fun, x, f)
             g = J.T.dot(f)
-            scale_inv = np.maximum(np.sum(J**2, axis=0) ** 0.5, scale_inv)
+            scale_inv = np.maximum(np.sqrt(np.square(J).sum(axis=0)), scale_inv)
             scale = 1 / scale_inv
     return x, f
 
@@ -156,22 +170,23 @@ def _trf_bounds(fun, x, lb):
 def _jacobian(fun, x, f):
     """Forward differences with step ``sqrt(eps) max(1, |x|)``, divided by
     the step as represented; ``x >= 0``, so no step crosses a bound."""
-    h = EPS**0.5 * np.maximum(1.0, np.abs(x))
+    h = STEP * np.maximum(1.0, np.abs(x))
     J_transposed = np.empty((x.size, f.size))
-    for i in range(x.size):
-        x1 = np.copy(x)
-        x1[i] = x[i] + h[i]
-        J_transposed[i] = (fun(x1) - f) / ((x[i] + h[i]) - x[i])
+    for i, (x_i, h_i) in enumerate(zip(x.tolist(), h.tolist())):
+        x1 = x.copy()
+        x1[i] = x_i + h_i
+        J_transposed[i] = (fun(x1) - f) / ((x_i + h_i) - x_i)
     return J_transposed.T
 
 
 def _interior(x, lb, rstep):
-    """``x`` moved off any lower bound it reaches: by ``rstep`` relative to
-    the bound, or for ``rstep == 0`` to the next float above it."""
-    x = x.copy()
+    """``x``, changed in place, moved off any lower bound it reaches: by
+    ``rstep`` relative to the bound, or for ``rstep == 0`` to the next
+    float above it."""
     if rstep == 0:
         on = x <= lb
-        x[on] = np.nextafter(lb[on], np.inf)
+        if on.any():
+            x[on] = np.nextafter(lb[on], np.inf)
     else:
         margin = rstep * np.maximum(1, np.abs(lb))
         on = x - lb <= margin
@@ -180,14 +195,11 @@ def _interior(x, lb, rstep):
 
 
 def _cl_scaling(x, g, lb):
-    """Coleman-Li scaling vector ``v`` and its derivative ``dv``: the
-    distance to the lower bound where the gradient points at it, else 1."""
-    v = np.ones_like(x)
-    dv = np.zeros_like(x)
-    mask = g > 0
-    v[mask] = x[mask] - lb[mask]
-    dv[mask] = 1
-    return v, dv
+    """Coleman-Li scaling vector ``v`` and its derivative ``dv`` (as a
+    mask): the distance to the lower bound where the gradient points at
+    it, else 1."""
+    dv = g > 0
+    return np.where(dv, x - lb, 1.0), dv
 
 
 def _solve_lsq_trust_region(n, m, uf, s, V, Delta, alpha, rtol=0.01, max_iter=10):
@@ -195,17 +207,18 @@ def _solve_lsq_trust_region(n, m, uf, s, V, Delta, alpha, rtol=0.01, max_iter=10
     of ``J``, and its Levenberg-Marquardt parameter ``alpha`` (More)."""
 
     def phi_and_derivative(alpha):
-        denom = s**2 + alpha
-        p_norm = norm(suf / denom)
-        return p_norm - Delta, -np.sum(suf**2 / denom**3) / p_norm
+        denom = s_squared + alpha
+        p_norm = _norm(suf / denom)
+        return p_norm - Delta, -(suf_squared / denom**3).sum() / p_norm
 
     suf = s * uf
     full_rank = m >= n and s[-1] > EPS * m * s[0]
     if full_rank:
         p = -V.dot(uf / s)
-        if norm(p) <= Delta:
+        if _norm(p) <= Delta:
             return p, 0.0
-    alpha_upper = norm(suf) / Delta
+    s_squared, suf_squared = s**2, suf**2
+    alpha_upper = _norm(suf) / Delta
     if full_rank:
         phi, phi_prime = phi_and_derivative(0.0)
         alpha_lower = -phi / phi_prime
@@ -222,17 +235,17 @@ def _solve_lsq_trust_region(n, m, uf, s, V, Delta, alpha, rtol=0.01, max_iter=10
         ratio = phi / phi_prime
         alpha_lower = max(alpha_lower, alpha - ratio)
         alpha -= (phi + Delta) * ratio / Delta
-        if np.abs(phi) < rtol * Delta:
+        if abs(phi) < rtol * Delta:
             break
-    p = -V.dot(suf / (s**2 + alpha))
-    p *= Delta / norm(p)  # onto the boundary, so p never leaves the region
+    p = -V.dot(suf / (s_squared + alpha))
+    p *= Delta / _norm(p)  # onto the boundary, so p never leaves the region
     return p, alpha
 
 
 def _select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, theta):
     """The best of the trust-region step cut at the bound, its reflection
     off the bound and the Cauchy step, with its predicted reduction."""
-    if np.all(x + p >= lb):
+    if (x + p >= lb).all():
         return p, p_h, -_evaluate_quadratic(J_h, g_h, p_h, diag_h)
     p_stride, hits = _step_to_bound(x, p, lb)
     r_h = np.copy(p_h)
@@ -263,7 +276,7 @@ def _select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, theta):
 
     ag_h = -g_h
     ag = d * ag_h
-    to_tr = Delta / norm(ag_h)
+    to_tr = Delta / _norm(ag_h)
     to_bound, _ = _step_to_bound(x, ag, lb)
     ag_stride = theta * to_bound if to_bound < to_tr else to_tr
     a, b = _build_quadratic_1d(J_h, g_h, ag_h, diag_h)
@@ -281,20 +294,18 @@ def _select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, theta):
 def _step_to_bound(x, s, lb):
     """Smallest ``t >= 0`` with ``x + t s`` on a lower bound, and which
     components reach it there."""
-    steps = np.full_like(x, np.inf)
-    down = s < 0
-    steps[down] = (lb - x)[down] / s[down]
-    min_step = np.min(steps)
+    steps = np.where(s < 0, (lb - x) / s, np.inf)
+    min_step = steps.min()
     return min_step, (steps == min_step) & (s != 0)
 
 
 def _to_trust_region(x, s, Delta):
     """The positive root ``t`` of ``|x + t s| = Delta``."""
-    a = np.dot(s, s)
+    a = s.dot(s)
     if a == 0:
         raise ValueError("`s` is zero.")
-    b = np.dot(x, s)
-    c = np.dot(x, x) - Delta**2
+    b = x.dot(s)
+    c = x.dot(x) - Delta**2
     if c > 0:
         raise ValueError("`x` is not within the trust region.")
     q = -(b + np.copysign(np.sqrt(b * b - a * c), b))  # no cancellation
@@ -319,17 +330,17 @@ def _build_quadratic_1d(J, g, s, diag, s0=None):
     """Coefficients of ``0.5 (s0 + s t)^T (J^T J + diag) (s0 + s t) +
     g^T (s0 + s t)`` in ``t``: ``a, b`` and, with ``s0``, ``c``."""
     v = J.dot(s)
-    a = np.dot(v, v)
-    a += np.dot(s * diag, s)
+    a = v.dot(v)
+    a += (s * diag).dot(s)
     a *= 0.5
-    b = np.dot(g, s)
+    b = g.dot(s)
     if s0 is None:
         return a, b
     u = J.dot(s0)
-    b += np.dot(u, v)
-    c = 0.5 * np.dot(u, u) + np.dot(g, s0)
-    b += np.dot(s0 * diag, s)
-    c += 0.5 * np.dot(s0 * diag, s0)
+    b += u.dot(v)
+    c = 0.5 * u.dot(u) + g.dot(s0)
+    b += (s0 * diag).dot(s)
+    c += 0.5 * (s0 * diag).dot(s0)
     return a, b, c
 
 
@@ -347,6 +358,6 @@ def _minimize_quadratic_1d(a, b, lb, ub, c=0):
 
 def _evaluate_quadratic(J, g, s, diag):
     Js = J.dot(s)
-    q = np.dot(Js, Js)
-    q += np.dot(s * diag, s)
-    return 0.5 * q + np.dot(s, g)
+    q = Js.dot(Js)
+    q += (s * diag).dot(s)
+    return 0.5 * q + s.dot(g)

@@ -27,14 +27,13 @@ front from the hole edge needs to reach a distance is the left side over
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
 
 import numpy as np
 
-from .errors import CalibrationError, DataFileError, ReleaseTooSlowError, located
+from .errors import CalibrationError, DataFileError, InputError, ReleaseTooSlowError, located
 from .geometry import (
     Hole,
     Material,
@@ -102,9 +101,10 @@ class CalibrationResult:
     n_observations: int
 
 
-def _feed(params: EtchParams, h_s: float, hole: Hole) -> float:
-    """Aperture feed resistance ``A_f h_s / A_open`` of one hole."""
-    return params.aperture_factor * h_s / hole_area(hole)
+def _feed(params: EtchParams, h_s: float, area: float) -> float:
+    """Aperture feed resistance ``A_f h_s / A_open`` of a hole of open
+    area ``area`` (:func:`hole_area`)."""
+    return params.aperture_factor * h_s / area
 
 
 def etch_rate(
@@ -115,7 +115,7 @@ def etch_rate(
         raise ValueError("underetch must be >= 0")
     h_s = stack.sacrificial_thickness
     return params.intrinsic_rate / (
-        1.0 + _feed(params, h_s, hole) + params.channel_factor * underetch / h_s
+        1.0 + _feed(params, h_s, hole_area(hole)) + params.channel_factor * underetch / h_s
     )
 
 
@@ -126,28 +126,33 @@ def _front(params, feed_resistance, h_s, duration, u0=0.0):
     ``2 rhs / (p + sqrt(p^2 + 2 b rhs))`` so that it neither cancels for
     small ``b rhs`` nor needs a branch at ``b = 0``. Works on floats and
     numpy arrays alike (``feed_resistance`` and ``u0`` may be arrays); the
-    float path returns a float. Raises ``ValueError`` when the inputs are
-    so extreme that ``2 rhs`` or the discriminant overflows; a finite
+    float path returns a float. Raises :class:`InputError` when the inputs
+    are so extreme that ``2 rhs`` or the discriminant overflows; a finite
     pair gives a finite front.
     """
     p = 1.0 + feed_resistance
     b = params.channel_factor / h_s
-    array = isinstance(p, np.ndarray) or isinstance(u0, np.ndarray)
-    # an overflow is raised below as an error, so numpy need not warn of
-    # it; the float path, calibration's hot loop, has nothing to silence
-    with np.errstate(over="ignore", invalid="ignore") if array else nullcontext():
-        rhs = params.intrinsic_rate * duration + p * u0 + 0.5 * b * u0 * u0
-        disc = p * p + 2.0 * b * rhs
-        num = 2.0 * rhs
-    if array:
+    if isinstance(p, np.ndarray) or isinstance(u0, np.ndarray):
+        # an overflow is raised below as an error, so numpy need not warn of it
+        with np.errstate(over="ignore", invalid="ignore"):
+            num, disc = _front_terms(params, p, b, duration, u0)
         finite = np.isfinite(num).all() and np.isfinite(disc).all()
         root = np.sqrt(disc)
-    else:
+    else:  # calibration's hot loop: float arithmetic has nothing to silence
+        num, disc = _front_terms(params, p, b, duration, u0)
         finite = math.isfinite(num) and math.isfinite(disc)
         root = math.sqrt(disc)
     if not finite:
-        raise ValueError("etch front overflows: etch rate or time is too large")
+        raise InputError("etch front overflows: etch rate or time is too large")
     return num / (p + root)
+
+
+def _front_terms(params, p, b, duration, u0):
+    """``2 rhs`` and the discriminant ``p^2 + 2 b rhs`` of :func:`_front`,
+    where ``rhs = R0 t + p u0 + b u0^2 / 2`` is the first integral's right
+    side."""
+    rhs = params.intrinsic_rate * duration + p * u0 + 0.5 * b * u0 * u0
+    return 2.0 * rhs, p * p + 2.0 * b * rhs
 
 
 def _arrival(params, feed_resistance, h_s, reach):
@@ -182,7 +187,7 @@ def underetch(
     if start < 0.0:
         raise ValueError("start must be >= 0")
     h_s = stack.sacrificial_thickness
-    return _front(params, _feed(params, h_s, hole), h_s, duration, start)
+    return _front(params, _feed(params, h_s, hole_area(hole)), h_s, duration, start)
 
 
 def etch_state(
@@ -242,7 +247,7 @@ def time_to_release(
         raise ValueError("max_time must be > 0")
     pitch = grid_pitch if grid_pitch is not None else default_coverage_pitch(holes)
     h_s = stack.sacrificial_thickness
-    feed = np.array([_feed(params, h_s, h) for h in holes])
+    feed = np.array([_feed(params, h_s, hole_area(h)) for h in holes])
 
     def covered(t: float) -> bool:
         return _released(footprint, holes, _front(params, feed, h_s, t), pitch)
@@ -275,7 +280,7 @@ def time_to_release(
             while false_at == -math.inf and true_at > 0.0:
                 decided(max(true_at - step, 0.0))
                 step *= 2.0
-    except ValueError:  # the front overflows where the raster search may not go
+    except InputError:  # the front overflows where the raster search may not go
         pass
     lo, hi = _search(decided, max_time)
     if hi is None:
@@ -347,7 +352,7 @@ def _release_estimate(footprint, holes, params, feed, h_s, pitch, max_time) -> f
         every window, where its ``hi_c`` is inf."""
         try:
             reach = _front(params, feed, h_s, t_up)
-        except ValueError:
+        except InputError:
             reach = np.full(len(holes), np.inf)
         windows = grid.windows(reach)
         reached = np.zeros(shape, dtype=bool)
@@ -409,11 +414,6 @@ def _check_finite(obs: EtchObservation) -> None:
             raise ValueError(f"{name} must be finite")
 
 
-def _predicted(params: EtchParams, obs: EtchObservation) -> float:
-    h_s = obs.sacrificial_thickness
-    return _front(params, _feed(params, h_s, obs.hole), h_s, obs.time)
-
-
 def calibrate_etch(
     observations: "list[EtchObservation] | tuple[EtchObservation, ...]",
     *,
@@ -473,13 +473,19 @@ def calibrate_etch(
     }
     current.update(fixed)
 
+    # each residual is (underetch(o.hole, stack, p, o.time) - o.underetch)
+    # / UM, with the observation's floats and hole area read once per fit
+    rows = [(o.sacrificial_thickness, hole_area(o.hole), o.time, o.underetch) for o in obs]
+
     def residuals(x, subset):
         trial = dict(current)
         # Python floats keep _front on its float path, off numpy scalars
-        trial.update(dict(zip(subset, x.tolist())))
+        trial.update(zip(subset, x.tolist()))
         trial["intrinsic_rate"] = max(trial["intrinsic_rate"], rate_floor)
         p = EtchParams(**trial)
-        return np.array([_predicted(p, o) - o.underetch for o in obs]) / UM
+        return np.array(
+            [(_front(p, _feed(p, h_s, area), h_s, t) - u) / UM for h_s, area, t, u in rows]
+        )
 
     # imported here, not at module level: only calibration runs the fit,
     # so importing the package (and every simulate) never loads it

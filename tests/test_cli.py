@@ -215,6 +215,25 @@ class TestSweep:
             "footprint not fully released after 1 min\n"
         )
 
+    def test_front_overflow_names_its_row_and_stage(self, tmp_path, capsys):
+        # the 1min row's probe front is finite; the 1e300min row's
+        # overflows, an input error that names the value and the stage
+        text = FAST_RECIPE.replace(
+            "probe_time = 2min", "probe_time = 2min\nintrinsic_rate = 1e300um/min"
+        )
+        path = tmp_path / "overflow.recipe"
+        path.write_text(text)
+        code = main(
+            ["sweep", str(path), "--param", "release.probe_time", "--values", "1min,1e300min"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "zeropack: input error: release.probe_time = 1e300min: release: "
+            "etch front overflows: etch rate or time is too large"
+        )
+
     def test_workers_give_identical_output(self, fast_recipe_file, capsys):
         args = [
             "sweep",
@@ -636,7 +655,7 @@ class TestStderr:
         proc = self.run(tmp_path, "sacrificial_thickness = 5um", "sacrificial_thickness = 1e300um")
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [
-            "zeropack: input error: etch front overflows: etch rate or time is too large"
+            "zeropack: input error: release: etch front overflows: etch rate or time is too large"
         ]
 
     def test_thin_plate_warning_is_one_line(self, tmp_path):

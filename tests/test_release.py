@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import (
     bisect_release_time,
@@ -16,8 +18,15 @@ from oracles import (
 )
 from zeropack import _trf
 from zeropack import release as release_mod
-from zeropack.errors import CalibrationError, DataFileError, ReleaseTooSlowError
-from zeropack.geometry import Hole, PackageStack, Rect, _released, default_coverage_pitch
+from zeropack.errors import CalibrationError, DataFileError, InputError, ReleaseTooSlowError
+from zeropack.geometry import (
+    Hole,
+    PackageStack,
+    Rect,
+    _released,
+    default_coverage_pitch,
+    hole_area,
+)
 from zeropack.release import (
     DEFAULT_ETCH_PARAMS,
     DEFAULT_TIME_CAP,
@@ -117,7 +126,7 @@ class TestUnderetch:
             Hole.circle(40 * UM),
         ]
         h_s = stack.sacrificial_thickness
-        feed = np.array([release_mod._feed(PARAMS, h_s, h) for h in holes])
+        feed = np.array([release_mod._feed(PARAMS, h_s, hole_area(h)) for h in holes])
         fronts = release_mod._front(PARAMS, feed, h_s, t_min * MINUTE)
         assert fronts.tolist() == [underetch(h, stack, PARAMS, t_min * MINUTE) for h in holes]
 
@@ -126,7 +135,7 @@ class TestUnderetch:
         stack = stack_with(1.1 * UM)
         holes = [Hole.circle(2 * UM), Hole.rectangle(1.3 * UM, 9 * UM), Hole.circle(40 * UM)]
         h_s = stack.sacrificial_thickness
-        feed = np.array([release_mod._feed(PARAMS, h_s, h) for h in holes])
+        feed = np.array([release_mod._feed(PARAMS, h_s, hole_area(h)) for h in holes])
         fronts = release_mod._front(PARAMS, feed, h_s, t_min * MINUTE)
         times = release_mod._arrival(PARAMS, feed, h_s, fronts)
         assert times == pytest.approx(t_min * MINUTE, rel=1e-12)
@@ -148,9 +157,10 @@ class TestUnderetch:
     )
     @pytest.mark.filterwarnings("error")  # an overflow is raised, never warned
     def test_overflow_is_an_error_not_a_front(self, params, duration):
-        with pytest.raises(ValueError, match="overflows"):
+        # an input error, so that a stage and a sweep row name themselves in it
+        with pytest.raises(InputError, match="overflows"):
             release_mod._front(params, 0.0, 1 * UM, duration)
-        with pytest.raises(ValueError, match="overflows"):
+        with pytest.raises(InputError, match="overflows"):
             release_mod._front(params, np.array([0.0, 1.0]), 1 * UM, duration)
 
 
@@ -328,6 +338,90 @@ def test_non_finite_trial_only_shrinks_the_trust_region(monkeypatch):
         fun, [1.0], bounds=([0.0], np.inf), method="trf", x_scale="jac"
     )
     assert np.array_equal(x, want.x) and np.array_equal(f, want.fun)
+
+
+def test_each_residual_is_the_underetch_error(monkeypatch):
+    # the fit reads each observation's floats and hole area once, yet
+    # every residual it computes is the very float of the public model
+    obs = bundled_observations()
+    made = []
+
+    class Recorded(EtchParams):
+        def __post_init__(self):
+            super().__post_init__()
+            made.append(self)
+
+    port = _trf.least_squares
+    checked = 0
+
+    def checking(fun, x0, lb):
+        def checked_fun(x):
+            nonlocal checked
+            f = fun(x)
+            p = made[-1]
+            want = [
+                (underetch(o.hole, stack_with(o.sacrificial_thickness), p, o.time) - o.underetch)
+                / UM
+                for o in obs
+            ]
+            assert [v.hex() for v in f.tolist()] == [v.hex() for v in want]
+            checked += 1
+            return f
+
+        return port(checked_fun, x0, lb)
+
+    monkeypatch.setattr(release_mod, "EtchParams", Recorded)
+    monkeypatch.setattr(_trf, "least_squares", checking)
+    calibrate_etch(obs)
+    assert checked == 71
+
+
+def test_bundled_fit_work_is_pinned(monkeypatch):
+    # residual evaluations and SVDs per stage of the bundled full fit, as
+    # scipy's steps take them: a change that adds a step shows here
+    evals, svds = [], []
+    port, numpy_svd = _trf.least_squares, _trf.svd
+
+    def counted_svd(*args, **kwargs):
+        svds[-1] += 1
+        return numpy_svd(*args, **kwargs)
+
+    def counted(fun, x0, lb):
+        evals.append(0)
+        svds.append(0)
+
+        def counted_fun(x):
+            evals[-1] += 1
+            return fun(x)
+
+        return port(counted_fun, x0, lb)
+
+    monkeypatch.setattr(_trf, "svd", counted_svd)
+    monkeypatch.setattr(_trf, "least_squares", counted)
+    calibrate_etch(bundled_observations())
+    assert evals == [15, 26, 30]
+    assert svds == [7, 7, 6]
+
+
+EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 1e308, -1e308]
+
+
+@given(
+    st.lists(
+        st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS)), min_size=1, max_size=9
+    )
+)
+def test_trf_norms_equal_numpy_norm_bit_for_bit(values):
+    # _trf writes numpy.linalg.norm of a 1-D array as numpy's own
+    # expressions for it: the same bits, and a numpy scalar as well
+    x = np.array(values)
+    with np.errstate(all="ignore"):
+        for got, want in (
+            (_trf._norm(x), np.linalg.norm(x)),
+            (_trf._norm_inf(x), np.linalg.norm(x, ord=np.inf)),
+        ):
+            assert type(got) is type(want)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestTimeToRelease:
