@@ -23,12 +23,13 @@ import sys
 import warnings
 from pathlib import Path
 
-from .errors import ZeropackError
+from .errors import InputError, ZeropackError
 from .mechanics import dump_deflection
 from .mechanics import solve_plate  # noqa: F401 - perfbench's tracer wraps cli.solve_plate
 from .pipeline import (
-    TABULAR_HEADER,
+    _check_rows,
     _molding,
+    _tabular,
     emit_report,
     emit_sweep,
     param_kind,
@@ -105,7 +106,7 @@ def _cmd_sweep(args) -> int:
     kind = param_kind(args.param)
     labels = [tok.strip() for tok in args.values.split(",") if tok.strip()]
     if not labels:
-        raise ValueError("--values must list at least one quantity")
+        raise InputError("--values must list at least one quantity")
     values = [parse_quantity(tok, kind, f"--values entry {tok!r}") for tok in labels]
     rows = sweep(recipe, args.param, values, labels=labels)
     _write(emit_sweep(rows, args.format), args.out)
@@ -116,16 +117,15 @@ def _cmd_calibrate(args) -> int:
     result = calibrate_etch(load_observations(args.datafile))
     p = result.params
     if args.format == "tabular":
-        text = "\n".join(
+        text = _tabular(
             [
-                TABULAR_HEADER,
-                f"intrinsic_rate,um/min,{p.intrinsic_rate / UM * MINUTE:.6g}",
-                f"aperture_factor,um,{p.aperture_factor / UM:.6g}",
-                f"channel_factor,-,{p.channel_factor:.6g}",
-                f"residual,um,{result.residual / UM:.6g}",
-                f"n_observations,-,{result.n_observations}",
+                ("intrinsic_rate", "um/min", p.intrinsic_rate / UM * MINUTE),
+                ("aperture_factor", "um", p.aperture_factor / UM),
+                ("channel_factor", "-", p.channel_factor),
+                ("residual", "um", result.residual / UM),
+                ("n_observations", "-", result.n_observations),
             ]
-        ) + "\n"
+        )
     else:
         text = (
             f"fitted on {result.n_observations} observations\n"
@@ -144,15 +144,13 @@ def _cmd_check_molding(args) -> int:
     if args.dump_field is not None:
         args.dump_field.write_text(dump_deflection(solution), encoding="utf-8")
     if args.format == "tabular":
-        text = "\n".join(
+        text = _tabular(
             [
-                TABULAR_HEADER,
-                f"molding_deflection,nm,{solution.w_max / NM:.6g}",
-                f"molding_stress,MPa,{solution.sigma_max / MPA:.6g}",
-                *(f"check_{name},-,{int(ok)}" for name, ok in checks.items()),
-                f"passed,-,{int(passed)}",
+                ("molding_deflection", "nm", solution.w_max / NM),
+                ("molding_stress", "MPa", solution.sigma_max / MPA),
+                *_check_rows(checks),
             ]
-        ) + "\n"
+        )
     else:
         verdict = {True: "pass", False: "FAIL"}
         text = (

@@ -21,21 +21,6 @@ from .mechanics import PlateSpec, solve_plate
 from .recipe import Recipe, _field_kind, _set_field
 from .units import MBAR, MINUTE, MPA, NM, UM
 
-SWEEP_COLUMNS = (
-    "value",
-    "release_time_min",
-    "structural_loss_nm",
-    "governing_clog_um",
-    "remaining_aperture_nm",
-    "max_residue_nm",
-    "residue_footprint_um",
-    "cavity_pressure_mbar",
-    "molding_deflection_nm",
-    "molding_stress_MPa",
-    "probe_underetch_um",
-    "passed",
-)
-
 TABULAR_HEADER = "field,units,value"
 
 # The releases run so far by the sweep in progress, keyed by their inputs
@@ -147,16 +132,8 @@ def run_recipe(recipe: Recipe) -> ProcessReport:
             )
             for h in holes
         )
-    remaining = tuple(
-        clog_mod.aperture_after(
-            h, stack.cap_thickness, stack.clog_deposition, sealing, recipe.clog
-        )
-        for h in holes
-    )
-    residues = [
-        clog_mod.residue_estimate(
-            h, stack.cap_thickness, stack.clog_deposition, sealing, recipe.clog
-        )
+    states = [
+        clog_mod.clog_state(h, stack, stack.clog_deposition, sealing, recipe.clog)
         for h in holes
     ]
     governing = max(clog_thickness)
@@ -168,9 +145,9 @@ def run_recipe(recipe: Recipe) -> ProcessReport:
         structural_loss=structural_loss,
         clog_thickness=clog_thickness,
         governing_clog=governing,
-        remaining_aperture=remaining,
-        residue_thickness=tuple(r[0] for r in residues),
-        residue_footprint=tuple(r[1] for r in residues),
+        remaining_aperture=tuple(s.remaining_aperture for s in states),
+        residue_thickness=tuple(s.residue_thickness for s in states),
+        residue_footprint=tuple(s.residue_footprint for s in states),
         cavity_pressure=recipe.chamber_pressure,
         molding_deflection=solution.w_max,
         molding_stress=solution.sigma_max,
@@ -179,7 +156,7 @@ def run_recipe(recipe: Recipe) -> ProcessReport:
         probe_underetch=probe_u,
     )
     # every report format prints these values, so each must be finite
-    for name, unit, value in _report_values(report):
+    for name, unit, value in _report_rows(report):
         if not math.isfinite(value):
             raise ModelError(f"{name} is not finite in {unit}")
     return report
@@ -236,12 +213,33 @@ def sweep(
         _sweep_releases.reset(token)
 
 
-def _fmt(value: float) -> str:
+def _fmt(value: "float | None") -> str:
+    """One cell of a table: a flag as 1 or 0, an int as itself, no value
+    as an empty cell, any other number at 6 significant digits."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, int):
+        return str(value)
     return f"{value:.6g}"
 
 
-def _report_values(report: ProcessReport) -> list[tuple[str, str, float]]:
-    """The numeric rows of a report: field, units, value in those units."""
+def _tabular(rows: "list[tuple[str, str, float]]") -> str:
+    """``field,units,value`` lines under a fixed header, one per row of
+    field, units and the value in those units."""
+    lines = [TABULAR_HEADER] + [f"{field},{unit},{_fmt(value)}" for field, unit, value in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _check_rows(checks: dict[str, bool]) -> list[tuple[str, str, bool]]:
+    """A ``check_<name>`` row per check, then the overall ``passed``."""
+    rows = [(f"check_{name}", "-", ok) for name, ok in checks.items()]
+    return rows + [("passed", "-", all(checks.values()))]
+
+
+def _report_rows(report: ProcessReport) -> list[tuple[str, str, float]]:
+    """The rows of a report: field, units, value in those units."""
     rows = [
         ("release_time", "min", report.release_time / MINUTE),
         ("structural_loss", "nm", report.structural_loss / NM),
@@ -263,14 +261,7 @@ def _report_values(report: ProcessReport) -> list[tuple[str, str, float]]:
         rows.append(("probe_time", "min", report.probe_time / MINUTE))
     if report.probe_underetch is not None:
         rows.append(("probe_underetch", "um", report.probe_underetch / UM))
-    return rows
-
-
-def _report_rows(report: ProcessReport) -> list[tuple[str, str, str]]:
-    rows = [(name, unit, _fmt(value)) for name, unit, value in _report_values(report)]
-    rows += [(f"check_{name}", "-", "1" if ok else "0") for name, ok in report.checks.items()]
-    rows.append(("passed", "-", "1" if report.passed else "0"))
-    return rows
+    return rows + _check_rows(report.checks)
 
 
 def emit_report(report: ProcessReport, format: str = "text") -> str:
@@ -280,9 +271,7 @@ def emit_report(report: ProcessReport, format: str = "text") -> str:
     numbers at 6 significant digits in the units named per row.
     """
     if format == "tabular":
-        lines = [TABULAR_HEADER]
-        lines += [",".join(row) for row in _report_rows(report)]
-        return "\n".join(lines) + "\n"
+        return _tabular(_report_rows(report))
     if format != "text":
         raise ValueError(f"unknown format {format!r}")
 
@@ -325,26 +314,31 @@ def parse_tabular_report(text: str) -> dict[str, tuple[str, float]]:
     return out
 
 
-def _sweep_cells(label: str, report: ProcessReport) -> list[str]:
-    return [
-        label,
-        _fmt(report.release_time / MINUTE),
-        _fmt(report.structural_loss / NM),
-        _fmt(report.governing_clog / UM),
-        _fmt(max(report.remaining_aperture) / NM),
-        _fmt(max(report.residue_thickness) / NM),
-        _fmt(max(report.residue_footprint) / UM),
-        _fmt(report.cavity_pressure / MBAR),
-        _fmt(report.molding_deflection / NM),
-        _fmt(report.molding_stress / MPA),
-        "" if report.probe_underetch is None else _fmt(report.probe_underetch / UM),
-        "1" if report.passed else "0",
-    ]
+# Each sweep column after the value label: its name, and its value of a
+# report in the units the name gives (None prints an empty cell)
+_SWEEP_TABLE = (
+    ("release_time_min", lambda r: r.release_time / MINUTE),
+    ("structural_loss_nm", lambda r: r.structural_loss / NM),
+    ("governing_clog_um", lambda r: r.governing_clog / UM),
+    ("remaining_aperture_nm", lambda r: max(r.remaining_aperture) / NM),
+    ("max_residue_nm", lambda r: max(r.residue_thickness) / NM),
+    ("residue_footprint_um", lambda r: max(r.residue_footprint) / UM),
+    ("cavity_pressure_mbar", lambda r: r.cavity_pressure / MBAR),
+    ("molding_deflection_nm", lambda r: r.molding_deflection / NM),
+    ("molding_stress_MPa", lambda r: r.molding_stress / MPA),
+    (
+        "probe_underetch_um",
+        lambda r: None if r.probe_underetch is None else r.probe_underetch / UM,
+    ),
+    ("passed", lambda r: r.passed),
+)
+SWEEP_COLUMNS = ("value", *(name for name, _ in _SWEEP_TABLE))
 
 
 def emit_sweep(rows: "list[tuple[str, ProcessReport]]", format: str = "text") -> str:
     """Render sweep rows; first tabular row is the column-name header."""
-    table = [list(SWEEP_COLUMNS)] + [_sweep_cells(lb, rp) for lb, rp in rows]
+    table = [list(SWEEP_COLUMNS)]
+    table += [[lb, *(_fmt(cell(rp)) for _, cell in _SWEEP_TABLE)] for lb, rp in rows]
     if format == "tabular":
         return "\n".join(",".join(row) for row in table) + "\n"
     if format != "text":

@@ -496,7 +496,7 @@ def calibrate_etch(
         x0 = [max(current[n], rate_floor if n == "intrinsic_rate" else 0.0) for n in subset]
         lower = [rate_floor if n == "intrinsic_rate" else 0.0 for n in subset]
         x, f = least_squares(partial(residuals, subset=subset), x0, lower)
-        current.update(dict(zip(subset, x)))
+        current.update(zip(subset, x.tolist()))
 
     params = EtchParams(**current)
     residual = float(np.linalg.norm(f) * UM)

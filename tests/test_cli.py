@@ -161,6 +161,34 @@ class TestSweep:
         assert lines[1].split(",")[0] == "2um"
         assert lines[2].split(",")[0] == "2.5um"
 
+    def test_seal_sweep_tabular_is_byte_identical(self, capsys):
+        code = main(
+            [
+                "sweep",
+                str(REFERENCE_RECIPE),
+                "--param",
+                "stack.clog_deposition",
+                "--values",
+                "1.5um,1.875um,2.5um",
+                "--workers",
+                "2",
+                "--format",
+                "tabular",
+            ]
+        )
+        assert code == 0
+        expected = (REPO / "perfbench" / "expected" / "seal_sweep.csv").read_text()
+        assert capsys.readouterr().out == expected
+
+    def test_empty_values_is_an_input_error(self, fast_recipe_file, capsys):
+        args = ["sweep", str(fast_recipe_file), "--param", "holes.diameter", "--values", ","]
+        code = main(args)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        message = "zeropack: input error: --values must list at least one quantity"
+        assert err.splitlines() == [message]
+
     def test_bad_param_exits_two(self, fast_recipe_file, capsys):
         code = main(
             ["sweep", str(fast_recipe_file), "--param", "holes.radius", "--values", "2um"]
@@ -359,6 +387,18 @@ class TestCalibrate:
         assert parsed["intrinsic_rate"][0] == "um/min"
         assert parsed["n_observations"][1] == 5.0
 
+    def test_bundled_tabular_bytes(self, capsys):
+        bundled = SRC / "zeropack" / "data" / "sf6_underetch.csv"
+        assert main(["calibrate-etch", str(bundled), "--format", "tabular"]) == 0
+        assert capsys.readouterr().out == (
+            "field,units,value\n"
+            "intrinsic_rate,um/min,1.75282\n"
+            "aperture_factor,um,21.0416\n"
+            "channel_factor,-,0.321514\n"
+            "residual,um,0.0621771\n"
+            "n_observations,-,8\n"
+        )
+
     def test_under_determined_exits_two(self, tmp_path, capsys):
         path = tmp_path / "two.csv"
         path.write_text("circle, 2, 0, 1.1, 2, 0.4\ncircle, 4, 0, 1.1, 2, 1.1\n")
@@ -407,6 +447,17 @@ class TestCheckMolding:
         assert main(["check-molding", str(fast_recipe_file), "--format", "tabular"]) == 0
         parsed = parse_tabular_report(capsys.readouterr().out)
         assert parsed["passed"][1] == 1.0
+
+    def test_reference_tabular_bytes(self, capsys):
+        assert main(["check-molding", str(REFERENCE_RECIPE), "--format", "tabular"]) == 0
+        assert capsys.readouterr().out == (
+            "field,units,value\n"
+            "molding_deflection,nm,18.7337\n"
+            "molding_stress,MPa,136.846\n"
+            "check_deflection,-,1\n"
+            "check_stress,-,1\n"
+            "passed,-,1\n"
+        )
 
     def test_cells_match_simulate(self, fast_recipe_file, capsys):
         # both commands run the one molding stage of the pipeline

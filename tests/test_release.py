@@ -245,6 +245,13 @@ class TestCalibration:
             frozen = getattr(DEFAULT_ETCH_PARAMS, name) / unit
             assert f"{got:.6g}" == f"{frozen:.6g}", name
 
+    def test_fitted_params_are_python_floats(self):
+        fitted = calibrate_etch(bundled_observations()).params
+        for name in ("intrinsic_rate", "aperture_factor", "channel_factor"):
+            assert type(getattr(fitted, name)) is float, name
+        u = underetch(Hole.circle(2 * UM), stack_with(1.1 * UM), fitted, 2 * MINUTE)
+        assert type(u) is float
+
     def test_thin_film_etches_faster_through_small_holes(self):
         params = calibrate_etch(bundled_observations()).params
         ratios = {}
