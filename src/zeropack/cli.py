@@ -185,8 +185,8 @@ def main(argv: "list[str] | None" = None) -> int:
         except ZeropackError as exc:
             print(f"zeropack: {exc.kind} error: {exc}", file=sys.stderr)
             return exc.exit_status
-        except (OSError, ValueError) as exc:
-            # an unreadable or unwritable path, or a bad argument value
+        except OSError as exc:
+            # an unreadable or unwritable path
             print(f"zeropack: input error: {exc}", file=sys.stderr)
             return EXIT_INPUT
         except Exception as exc:

@@ -4,7 +4,7 @@ Finds the thinnest cap that survives molding (deflection and stress
 limits both enforced), and converts a cap thickness between materials at
 equal deflection or equal stress margin. At fixed sides, load and
 material the plate scales exactly with thickness: deflection is ``q/D``
-times the cached unit solution with ``D ~ t^3``, and stress is
+times the unit solution with ``D ~ t^3``, and stress is
 ``6 M / t^2`` with ``M`` independent of ``D``, so ``w_max ~ t^-3`` and
 ``sigma_max ~ t^-2``. One solve thus gives both at every thickness.
 """
@@ -88,7 +88,7 @@ def min_cap_thickness(material: Material, constraints: DesignConstraints) -> flo
     so the result equals an exhaustive scan of the same lattice on that
     grid. When no lattice point up to ``thickness_max`` is feasible, the
     result is ``thickness_max`` itself, never a point beyond it. Every
-    solve shares one cached unit solution per geometry.
+    solve shares the unit solution's two peaks, cached per geometry.
     """
     c = constraints
     last = int((c.thickness_max - c.thickness_min) / THICKNESS_STEP)

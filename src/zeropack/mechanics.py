@@ -10,9 +10,10 @@ correction on the four boundary lines, removed by a capacitance solve
 y, so only the odd sine modes occur and the capacitance system shrinks to
 one symmetric Schur system of order ``ceil((grid_n - 1) / 2)``; one
 quarter of the field is synthesised and mirrored, so the field's
-symmetry is exact. The load-independent unit solution is cached per
-(side_a, side_b, grid_n), so deflection scales exactly linearly with
-``q`` and exactly as ``1/t^3`` through the flexural rigidity.
+symmetry is exact. A solve scales the load-independent unit solution,
+so deflection scales exactly linearly with ``q`` and exactly as
+``1/t^3`` through the flexural rigidity; the field itself is built only
+when a caller reads it.
 
 Bending stress is ``sigma = 6 M / t^2`` with the moments
 ``M = -D (w_xx + nu w_yy)`` and ``-D (w_yy + nu w_xx)`` of the clamped
@@ -21,10 +22,10 @@ the edge, at the middle of the long side, where ``w = 0`` along the edge
 makes the tangential difference exactly 0: the edge moment is
 ``D 2 |w_1| / h^2``, with no ``nu`` in it. With ``w = v q / D`` the
 rigidity cancels: ``sigma_max = 6 q M / t^2``, where ``M = 2 max|v_1| / h^2``
-is the edge moment of the unit field ``v``, cached as a float per
-(side_a, side_b, grid_n) beside the peak of ``v`` itself. So the stress
-depends on neither elastic constant, and a warm solve reads both extrema
-from two cached scalars.
+is the edge moment of the unit field ``v``, read from the synthesised
+quarter and cached as a float per (side_a, side_b, grid_n) beside the
+peak of ``v`` itself. So the stress depends on neither elastic constant,
+and a warm solve reads both extrema from two cached scalars.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -68,14 +69,33 @@ class PlateSpec:
 
 @dataclass(frozen=True, eq=False)
 class PlateSolution:
-    """Deflection field and extrema on a regular grid."""
+    """Deflection extrema of ``spec`` on a regular grid; the node
+    coordinates ``x``, ``y`` and the ``deflection`` field are built on
+    first read."""
 
-    x: np.ndarray
-    y: np.ndarray
-    deflection: np.ndarray
+    spec: PlateSpec
     w_max: float
     sigma_max: float
     grid_n: int
+
+    @cached_property
+    def _field(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        spec = self.spec
+        x, y, v = _unit_field(spec.side_a, spec.side_b, self.grid_n)
+        # no node exceeds w_max, which solve_plate found finite
+        return x, y, v * (spec.pressure / flexural_rigidity(spec.material, spec.thickness))
+
+    @property
+    def x(self) -> np.ndarray:
+        return self._field[0]
+
+    @property
+    def y(self) -> np.ndarray:
+        return self._field[1]
+
+    @property
+    def deflection(self) -> np.ndarray:
+        return self._field[2]
 
 
 def flexural_rigidity(material: Material, thickness: float) -> float:
@@ -96,17 +116,20 @@ def flexural_rigidity(material: Material, thickness: float) -> float:
 _EDGE_ROW = 2.0
 
 
+# read-only, each at most 255 x 128 doubles (261 KB) at MAX_GRID_N
+@lru_cache(maxsize=8)
 def _sine_basis(m: int) -> tuple[np.ndarray, np.ndarray]:
     """The odd modes ``k = 1, 3, ...`` of the Dirichlet second difference
     ``T`` on ``m`` interior nodes: the ``m x ceil(m/2)`` matrix ``S`` of
     their orthonormal sine columns and their eigenvalues ``lam``, so that
-    ``T S = S diag(lam)``."""
+    ``T S = S diag(lam)``; cached per grid size."""
     k = np.arange(1, m + 1)
     odd = k[::2]
     # reduce k l modulo 2(m+1) in integers so every sine is accurate
     phase = np.outer(k, odd) % (2 * (m + 1))
     s = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi / (m + 1) * phase)
     lam = -4.0 * np.sin(0.5 * np.pi / (m + 1) * odd) ** 2
+    s.flags.writeable = lam.flags.writeable = False
     return s, lam
 
 
@@ -131,8 +154,9 @@ def _clamped_biharmonic_unit_load(hx: float, hy: float, m: int) -> np.ndarray:
     a row and the y-modes ``zc`` of a column is
     ``[[diag(dr), B], [B^T, diag(dc)]]``, ``B_qp = 2 s0_q s0_p / mu_pq^2``:
     parallel lines couple only mode by mode. Eliminating ``zr`` leaves
-    one symmetric Schur system of order ``ceil(m / 2)``. One quarter of
-    the field is synthesised and mirrored into the other three.
+    one symmetric Schur system of order ``ceil(m / 2)``. Only the
+    quarter ``v[:h, :h]``, ``h = ceil(m / 2)``, is synthesised and
+    returned: the other three mirror it.
     """
     s, lam = _sine_basis(m)
     # 1 / mu^2 for the Laplacian eigenvalue mu of mode (p along y, q along x)
@@ -151,46 +175,52 @@ def _clamped_biharmonic_unit_load(hx: float, hy: float, m: int) -> np.ndarray:
     v_hat = u_hat - 2.0 * inv_mu2 * (np.outer(s0, zr) + np.outer(zc, s0))
 
     h = (m + 1) // 2
-    v = np.empty((m, m))
-    v[:h, :h] = s[:h] @ v_hat @ s[:h].T
-    v[:h, h:] = v[:h, m - h - 1 :: -1]
-    v[h:] = v[m - h - 1 :: -1]
-    return v
+    return s[:h] @ v_hat @ s[:h].T
 
 
-@lru_cache(maxsize=32)
-def _unit_solution(side_a: float, side_b: float, grid_n: int):
-    """Solve del^4 v = 1 on the clamped rectangle; cached per geometry."""
+def _unit_quarter(side_a: float, side_b: float, grid_n: int) -> np.ndarray:
+    """The quarter of the interior nodes nearest the origin of the unit
+    solution ``del^4 v = 1`` on the clamped rectangle."""
     n = grid_n
     try:
         with np.errstate(all="ignore"):
-            v_int = _clamped_biharmonic_unit_load(side_a / n, side_b / n, n - 1)
+            quarter = _clamped_biharmonic_unit_load(side_a / n, side_b / n, n - 1)
     except (np.linalg.LinAlgError, OverflowError) as exc:
         raise SolverError(f"plate system cannot be solved: {exc}") from None
-    if not np.all(np.isfinite(v_int)):
+    if not np.all(np.isfinite(quarter)):
         raise SolverError("plate system is singular or ill-conditioned")
+    return quarter
 
+
+def _unit_field(side_a: float, side_b: float, grid_n: int):
+    """The nodes ``x``, ``y`` and the unit solution ``v`` on the
+    ``(grid_n+1)^2`` grid, its quarter mirrored into the other three and
+    zero on the clamped edges."""
+    n, m = grid_n, grid_n - 1
+    quarter = _unit_quarter(side_a, side_b, n)
+    h = len(quarter)
     v = np.zeros((n + 1, n + 1))
-    v[1:n, 1:n] = v_int
-    x = np.linspace(0.0, side_a, n + 1)
-    y = np.linspace(0.0, side_b, n + 1)
-    for arr in (v, x, y):
-        arr.flags.writeable = False
-    return x, y, v
+    inner = v[1:n, 1:n]
+    inner[:h, :h] = quarter
+    inner[:h, h:] = inner[:h, m - h - 1 :: -1]
+    inner[h:] = inner[m - h - 1 :: -1]
+    return np.linspace(0.0, side_a, n + 1), np.linspace(0.0, side_b, n + 1), v
 
 
 @lru_cache(maxsize=128)
 def _unit_peaks(side_a: float, side_b: float, grid_n: int):
     """Peak deflection ``max |v|`` and edge moment peak ``M`` of the unit
-    solution, cached per geometry as floats. The field is mirror-symmetric,
-    so its first row and column stand for all four clamped edges."""
-    _, _, v = _unit_solution(side_a, side_b, grid_n)
-    v_peak = float(max(v.max(), -v.min()))
+    solution, cached per geometry as floats. The field only copies the
+    quarter's values beside its zero edges, and its first row and column
+    stand for all four clamped edges, so the quarter's extrema are the
+    field's bit for bit."""
+    quarter = _unit_quarter(side_a, side_b, grid_n)
+    v_peak = max(quarter.max(), -quarter.min(), 0.0)
     m_hat = max(
-        _EDGE_ROW * np.abs(v[1]).max() / (side_b / grid_n) ** 2,
-        _EDGE_ROW * np.abs(v[:, 1]).max() / (side_a / grid_n) ** 2,
+        _EDGE_ROW * np.abs(quarter[0]).max() / (side_b / grid_n) ** 2,
+        _EDGE_ROW * np.abs(quarter[:, 0]).max() / (side_a / grid_n) ** 2,
     )
-    return v_peak, float(m_hat)
+    return float(v_peak), float(m_hat)
 
 
 def _extrema(spec: PlateSpec, grid_n: int) -> tuple[float, float]:
@@ -211,17 +241,13 @@ def solve_plate(spec: PlateSpec, grid_n: int = 128) -> PlateSolution:
     """Deflection of the clamped plate on a (grid_n+1)^2 node grid."""
     if grid_n < MIN_GRID_N:
         raise ValueError(f"grid_n must be >= {MIN_GRID_N}")
-    x, y, v = _unit_solution(spec.side_a, spec.side_b, grid_n)
     # the deflection must stay finite in nm, the unit it is reported in;
     # a t^2 or t^3 past the float range raises, so does a q / D whose D
-    # underflows to 0, and an overflowing q / D turns the clamped edges'
-    # zeros into nan
+    # underflows to 0
     try:
         v_peak, sigma_max = _extrema(spec, grid_n)
         d = flexural_rigidity(spec.material, spec.thickness)
         c = spec.pressure / d
-        with np.errstate(all="ignore"):
-            w = v * c
         # rounding is monotone and c >= 0, so the peak of v c is the
         # peak of v times c bit for bit
         w_max = v_peak * c
@@ -232,9 +258,7 @@ def solve_plate(spec: PlateSpec, grid_n: int = 128) -> PlateSolution:
         finite = False
     if not finite:
         raise SolverError("plate deflection or stress is not finite")
-    return PlateSolution(
-        x=x, y=y, deflection=w, w_max=w_max, sigma_max=sigma_max, grid_n=grid_n
-    )
+    return PlateSolution(spec=spec, w_max=w_max, sigma_max=sigma_max, grid_n=grid_n)
 
 
 @dataclass(frozen=True)

@@ -70,9 +70,10 @@ from .units import BAR, GPA, MBAR, MINUTE, MM, MPA, NM, SECOND, UM
 DEFAULT_CHAMBER_PRESSURE = 5e-7 * MBAR
 DEFAULT_MOLDING_PRESSURE = 10.0 * MPA
 
-# Resource bounds: a cold plate solve at grid_n = 256 takes about 4.5 ms
-# and 3 MB, the release search on 2048^2 raster cells about 4 s and
-# 180 MB (the reference recipe: 128 and 160^2).
+# Resource bounds: a cold plate solve at grid_n = 256 takes about 1.1 ms
+# and 1.3 MB (1.6 ms where it builds that grid's sine basis), the release
+# search on 2048^2 raster cells about 4 s and 180 MB (the reference
+# recipe: 128 and 160^2).
 MAX_GRID_N = 256
 MAX_RASTER_CELLS = 2**22
 

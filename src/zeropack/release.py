@@ -412,6 +412,9 @@ def _check_finite(obs: EtchObservation) -> None:
     ):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite")
+    # the fit seeds its etch rate from the largest underetch / time
+    if obs.time and not math.isfinite(obs.underetch / obs.time):
+        raise ValueError("underetch / time must be finite")
 
 
 def calibrate_etch(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -127,7 +128,7 @@ class TestSimulate:
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(np.linalg, "solve", singular)
-        mechanics._unit_solution.cache_clear()  # force a cold solve
+        mechanics._unit_peaks.cache_clear()  # force a cold solve
         assert main(["simulate", str(fast_recipe_file)]) == 3
         assert "model error: molding: plate system cannot be solved" in capsys.readouterr().err
 
@@ -419,8 +420,13 @@ class TestCalibrate:
             ("circle,4,0,1.1,1e308,1.0", "{where}: time must be finite"),  # inf in seconds
             ("circle,4,0,1e300,2,1.0", "etch front overflows"),
             ("circle,4,0,inf,2,1.0", "{where}: film thickness must be finite"),
+            # each value is finite, but the fit's seed rate would not be
+            ("square,3,0,1,1e-300,1e300", "{where}: underetch / time must be finite"),
         ],
-        ids=["u-1e300", "u-nan", "u-inf", "t-1e-300", "t-1e300", "t-inf", "t-1e308", "h-1e300", "h-inf"],
+        ids=[
+            "u-1e300", "u-nan", "u-inf", "t-1e-300", "t-1e300", "t-inf", "t-1e308", "h-1e300", "h-inf",
+            "u-over-t",
+        ],
     )
     def test_hostile_observation_prints_one_line(self, tmp_path, capsys, row, message):
         path = tmp_path / "hostile.csv"
@@ -457,6 +463,13 @@ class TestCheckMolding:
             "check_deflection,-,1\n"
             "check_stress,-,1\n"
             "passed,-,1\n"
+        )
+
+    def test_reference_dump_field_bytes(self, tmp_path):
+        dump = tmp_path / "field.csv"
+        assert main(["check-molding", str(REFERENCE_RECIPE), "--dump-field", str(dump)]) == 0
+        assert hashlib.sha256(dump.read_bytes()).hexdigest() == (
+            "624c4e57a9171ff411b6606d902b8bbffde52d26a880fdb1654f572f27cb8f8f"
         )
 
     def test_cells_match_simulate(self, fast_recipe_file, capsys):
@@ -646,6 +659,18 @@ class TestHostileInput:
         assert out == ""
         assert "Traceback" not in err
         assert err.splitlines() == ["zeropack: internal error: RuntimeError: boom"]
+
+    def test_unnamed_value_error_exits_seventy(self, fast_recipe_file, capsys, monkeypatch):
+        # input errors are InputErrors; a bare ValueError is a fault
+        def broken(args):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_simulate", broken)
+        code = main(["simulate", str(fast_recipe_file)])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_SOFTWARE
+        assert out == ""
+        assert err.splitlines() == ["zeropack: internal error: ValueError: boom"]
 
     @pytest.mark.parametrize(
         "args",

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 
 from zeropack import design, mechanics
@@ -9,7 +12,7 @@ from zeropack.design import (
     min_cap_thickness,
 )
 from zeropack.errors import DesignError
-from zeropack.mechanics import PlateSpec, _unit_solution, solve_plate
+from zeropack.mechanics import PlateSpec, solve_plate
 from zeropack.units import MPA, NM, UM
 
 pytestmark = pytest.mark.filterwarnings("ignore:thickness")
@@ -207,13 +210,39 @@ class TestEquivalentThickness:
             equivalent_thickness(lto, 4.5 * UM, nitride, molding_constraints(), match="mass")
 
 
-def test_min_cap_on_fresh_geometry_is_one_cold_solve(lto):
-    _unit_solution.cache_clear()
+def test_min_cap_on_fresh_geometry_is_one_cold_solve(lto, monkeypatch):
+    syntheses = []
+    synthesise = mechanics._clamped_biharmonic_unit_load
+
+    def counted(*args):
+        syntheses.append(args)
+        return synthesise(*args)
+
+    monkeypatch.setattr(mechanics, "_clamped_biharmonic_unit_load", counted)
+    mechanics._unit_peaks.cache_clear()
     c = molding_constraints(side_a=37.3 * UM, side_b=41.9 * UM)
-    misses = _unit_solution.cache_info().misses
     t = min_cap_thickness(lto, c)
-    assert _unit_solution.cache_info().misses == misses + 1
+    assert len(syntheses) == 1
     assert t == scan_oracle(lto, c)
+
+
+def test_min_cap_keeps_no_field_per_geometry(lto):
+    # after a warm-up geometry, 8 more keep two floats each in the plate
+    # layer and no array: less than one (VERIFY_GRID_N + 1)^2 field in all
+    field_bytes = (VERIFY_GRID_N + 1) ** 2 * 8
+    sides = [(31.7 + 2.3 * k, 44.9 - 1.9 * k) for k in range(9)]
+    tracemalloc.start()
+    try:
+        min_cap_thickness(lto, molding_constraints(side_a=sides[0][0] * UM, side_b=sides[0][1] * UM))
+        gc.collect()
+        before, _ = tracemalloc.get_traced_memory()
+        for a, b in sides[1:]:
+            min_cap_thickness(lto, molding_constraints(side_a=a * UM, side_b=b * UM))
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < field_bytes
 
 
 def test_warm_geometry_solve_counts(lto, nitride, monkeypatch):

@@ -191,7 +191,7 @@ class TestClampedOperator:
     def test_matches_thirteen_point_stencil(self, side_a, side_b, n):
         ref_mat = stencil_plate_operator(side_a, side_b, n)
         ref = spsolve(ref_mat.tocsc(), np.ones((n - 1) ** 2)).reshape(n - 1, n - 1)
-        _, _, v = mechanics._unit_solution.__wrapped__(side_a, side_b, n)
+        _, _, v = mechanics._unit_field(side_a, side_b, n)
         v_max = np.abs(v).max()
         assert np.abs(v[1:n, 1:n] - ref).max() <= 1e-8 * v_max
         assert np.abs(ref_mat @ v[1:n, 1:n].ravel() - 1.0).max() <= 1e-6
@@ -201,15 +201,33 @@ class TestClampedOperator:
     @pytest.mark.parametrize("side_a, side_b, n", OPERATOR_GRIDS, ids=OPERATOR_IDS)
     def test_mirror_symmetry_is_exact(self, side_a, side_b, n):
         # the rectangle and the load are even in x and in y
-        _, _, v = mechanics._unit_solution.__wrapped__(side_a, side_b, n)
+        _, _, v = mechanics._unit_field(side_a, side_b, n)
         assert np.array_equal(v, v[::-1, :])
         assert np.array_equal(v, v[:, ::-1])
+
+    @pytest.mark.parametrize(
+        "side_a, side_b, n",
+        [*OPERATOR_GRIDS, (30 * UM, 45 * UM, 256)],
+        ids=[*OPERATOR_IDS, "aspect1.5-256"],
+    )
+    def test_peaks_from_the_quarter_equal_the_field_peaks(self, side_a, side_b, n):
+        # the extrema of the whole padded field, its zero edges included
+        _, _, v = mechanics._unit_field(side_a, side_b, n)
+        v_peak = float(max(v.max(), -v.min()))
+        m_hat = float(
+            max(
+                2.0 * np.abs(v[1]).max() / (side_b / n) ** 2,
+                2.0 * np.abs(v[:, 1]).max() / (side_a / n) ** 2,
+            )
+        )
+        got = mechanics._unit_peaks.__wrapped__(side_a, side_b, n)
+        assert [x.hex() for x in got] == [v_peak.hex(), m_hat.hex()]
 
     def test_cold_solve_memory_is_small(self):
         # a dense capacitance matrix on the boundary lines peaks near 11 MiB
         tracemalloc.start()
         try:
-            mechanics._unit_solution.__wrapped__(30 * UM, 45 * UM, 256)
+            mechanics._unit_field(30 * UM, 45 * UM, 256)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -218,7 +236,7 @@ class TestClampedOperator:
     @pytest.mark.parametrize("side", [1e-300, 1e300], ids=["singular", "overflow"])
     def test_degenerate_geometry_is_a_solver_error(self, side):
         with pytest.raises(SolverError):
-            mechanics._unit_solution.__wrapped__(side, side, 16)
+            mechanics._unit_field(side, side, 16)
 
     @pytest.mark.parametrize("side_a, side_b, n", OPERATOR_GRIDS, ids=OPERATOR_IDS)
     def test_curvatures_equal_edge_row_formulas(self, side_a, side_b, n):
@@ -226,7 +244,7 @@ class TestClampedOperator:
         # difference is exactly 0 and the normal one is the edge row value
         # that _unit_peaks reads, bit for bit
         hx, hy = side_a / n, side_b / n
-        _, _, v = mechanics._unit_solution(side_a, side_b, n)
+        _, _, v = mechanics._unit_field(side_a, side_b, n)
         wxx, wyy = edge_row_curvatures(v, hx, hy)
         for edge in (wxx[0], wxx[-1], wyy[:, 0], wyy[:, -1]):
             assert not edge.any()
@@ -240,7 +258,7 @@ class TestClampedOperator:
         # bit for bit: 6 q M / t^2, with M the moment peak over every node
         # of the unit field
         spec = PlateSpec(side_a, side_b, min(side_a, side_b) / 10, nitride, 1 * MPA)
-        _, _, v = mechanics._unit_solution(side_a, side_b, n)
+        _, _, v = mechanics._unit_field(side_a, side_b, n)
         moment = moment_peak(v, side_a / n, side_b / n, nitride.poisson_ratio)
         want = 6.0 * (spec.pressure * moment) / spec.thickness**2
         sol = solve_plate(spec, n)
@@ -252,7 +270,7 @@ def field_extrema(spec, n):
     """``(w_max, sigma_max)`` from the scaled deflection field itself and
     the stress oracle over all its nodes, or ``None`` where either is not
     finite."""
-    _, _, v = mechanics._unit_solution(spec.side_a, spec.side_b, n)
+    _, _, v = mechanics._unit_field(spec.side_a, spec.side_b, n)
     try:
         with np.errstate(all="ignore"):
             w = v * (spec.pressure / flexural_rigidity(spec.material, spec.thickness))
@@ -313,7 +331,7 @@ class TestExtremaFromTheUnitField:
         # for every Poisson ratio, bit for bit
         long = short * 10.0**aspect
         side_a, side_b = (short, long) if tall else (long, short)
-        _, _, v = mechanics._unit_solution(side_a, side_b, n)
+        _, _, v = mechanics._unit_field(side_a, side_b, n)
         assert moment_peak(v, side_a / n, side_b / n, nu) == mechanics._unit_peaks(side_a, side_b, n)[1]
         material = Material("test", poisson_ratio=nu)
         spec = PlateSpec(side_a, side_b, short / 10, material, 10 * MPA)

@@ -303,14 +303,14 @@ class TestSweep:
         self, fast_recipe, monkeypatch, path, values, solves
     ):
         solved = []
-        unit_solution = mechanics._unit_solution.__wrapped__
+        unit_peaks = mechanics._unit_peaks.__wrapped__
 
-        def counted_unit_solution(*key):
+        def counted_unit_peaks(*key):
             solved.append(key)
-            return unit_solution(*key)
+            return unit_peaks(*key)
 
         monkeypatch.setattr(
-            mechanics, "_unit_solution", functools.lru_cache(maxsize=32)(counted_unit_solution)
+            mechanics, "_unit_peaks", functools.lru_cache(maxsize=128)(counted_unit_peaks)
         )
         rows = sweep(fast_recipe, path, values)
         assert len(rows) == len(values)
