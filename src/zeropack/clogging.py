@@ -22,9 +22,10 @@ attenuation, and spreads over a cone set by the cap depth.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .errors import UncloggableError
+from .errors import InputError, UncloggableError
 from .geometry import Hole, Material, PackageStack, hole_min_dimension
 from .units import UM
 
@@ -89,7 +90,8 @@ def closure_rate(
 
     Dimensionless (m per m deposited, both sides combined); exactly
     linear in the material's sticking coefficient. Returns 0 for a
-    sealed hole.
+    sealed hole. Raises :class:`InputError` when the product overflows:
+    an infinite rate would read as a hole sealed by no deposition.
     """
     if aperture < 0.0:
         raise ValueError("aperture must be >= 0")
@@ -98,9 +100,14 @@ def closure_rate(
     if aperture == 0.0:
         return 0.0
     s_scale = material.sticking_coefficient / params.reference_sticking
-    return 2.0 * params.closure_per_side * s_scale * flux_attenuation(
+    rate = 2.0 * params.closure_per_side * s_scale * flux_attenuation(
         aperture / cap_depth, params
     )
+    if not math.isfinite(rate):
+        raise InputError(
+            "closure rate overflows: closure_per_side or sticking ratio is too large"
+        )
+    return rate
 
 
 def aperture_after(
@@ -168,7 +175,9 @@ def residue_estimate(
     runs only while the aperture is open, at a rate proportional to the
     open fraction times the flux attenuation at the instantaneous
     aperture, so it stops exactly at seal-off. The footprint is the
-    as-drawn opening plus the spread cone of the cap depth.
+    as-drawn opening plus the spread cone of the cap depth. Raises
+    :class:`InputError` when the knee aperture ``knee_ratio *
+    cap_thickness`` underflows below the normal floats.
     """
     if deposited < 0.0:
         raise ValueError("deposited thickness must be >= 0")
@@ -187,8 +196,12 @@ def residue_estimate(
     x_end = min(deposited, seal)
     a_end = a0 - rate * x_end
     f = params.floor_attenuation
-    slope = (1.0 - f) / (params.knee_ratio * cap_thickness)
     a_knee = params.knee_ratio * cap_thickness
+    # below the smallest normal float (1 - f) / a_knee can overflow or,
+    # at 0, divide by zero
+    if a_knee < sys.float_info.min:
+        raise InputError("knee aperture underflows: knee_ratio or cap thickness is too small")
+    slope = (1.0 - f) / a_knee
     split = min(max(a_end, a_knee), a0)
     # unattenuated stretch: integrand a / a0
     upper = (a0**2 - split**2) / 2.0

@@ -304,20 +304,35 @@ def release_coverage(
     uses the same arithmetic, so the result is bit-identical to testing
     every hole everywhere.
     """
-    return _coverage(footprint, holes, underetch, grid_pitch, stop_below_one=False)
+    if len(holes) != len(underetch):
+        raise ValueError("underetch list length must match the hole list")
+    if not grid_pitch > 0.0:
+        raise ValueError("grid pitch must be strictly positive")
+    if not holes:
+        return 0.0
+    u = np.asarray(underetch, dtype=float)
+    if np.any(u < 0.0):
+        raise ValueError("underetch distances must be >= 0")
 
+    grid = _raster(footprint, holes, grid_pitch)
+    half_diag = grid.half_diag
+    windows = grid.windows(u)
+    dist = np.full((grid.ys.size, grid.xs.size), np.inf)
+    for hole, ui, window in zip(grid.holes, u, windows):
+        c0, c1, r0, r1 = window
+        view = dist[r0:r1, c0:c1]
+        np.minimum(view, _front_distance(hole, ui, *grid.centres(window)), out=view)
 
-def _released(
-    footprint: Rect,
-    holes: list[Hole] | tuple[Hole, ...],
-    underetch: "list[float] | tuple[float, ...] | np.ndarray",
-    grid_pitch: float,
-) -> bool:
-    """``release_coverage(...) >= 1.0``, without subsampling when a cell
-    centre lies at least a half-diagonal outside every front: that cell
-    counts exactly 0, so the fraction is below 1."""
-    fraction = _coverage(footprint, holes, underetch, grid_pitch, stop_below_one=True)
-    return fraction is not None and fraction >= 1.0
+    fraction = np.where(dist <= -half_diag, 1.0, 0.0)
+    edge = np.abs(dist) < half_diag
+    rows, cols = np.nonzero(edge)
+    if rows.size:
+        sub_dist = grid.subsample_min(
+            windows, rows, cols, lambda k, x, y: _front_distance(grid.holes[k], u[k], x, y)
+        )
+        weight = np.clip(0.5 - sub_dist / grid.ramp, 0.0, 1.0)
+        fraction[edge] = weight.mean(axis=1)
+    return float(fraction.mean())
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,45 +404,3 @@ def _raster(
         ramp=0.5 * (px + py) / _SUBSAMPLE,
         offsets=(ox * px, oy * py),
     )
-
-
-def _coverage(
-    footprint: Rect,
-    holes: list[Hole] | tuple[Hole, ...],
-    underetch: "list[float] | tuple[float, ...] | np.ndarray",
-    grid_pitch: float,
-    stop_below_one: bool,
-) -> float | None:
-    """The coverage fraction, or None if ``stop_below_one`` and some cell
-    centre is seen to count 0 before any subsampling."""
-    if len(holes) != len(underetch):
-        raise ValueError("underetch list length must match the hole list")
-    if not grid_pitch > 0.0:
-        raise ValueError("grid pitch must be strictly positive")
-    if not holes:
-        return 0.0
-    u = np.asarray(underetch, dtype=float)
-    if np.any(u < 0.0):
-        raise ValueError("underetch distances must be >= 0")
-
-    grid = _raster(footprint, holes, grid_pitch)
-    half_diag = grid.half_diag
-    windows = grid.windows(u)
-    dist = np.full((grid.ys.size, grid.xs.size), np.inf)
-    for hole, ui, window in zip(grid.holes, u, windows):
-        c0, c1, r0, r1 = window
-        view = dist[r0:r1, c0:c1]
-        np.minimum(view, _front_distance(hole, ui, *grid.centres(window)), out=view)
-
-    if stop_below_one and np.any(dist >= half_diag):
-        return None
-    fraction = np.where(dist <= -half_diag, 1.0, 0.0)
-    edge = np.abs(dist) < half_diag
-    rows, cols = np.nonzero(edge)
-    if rows.size:
-        sub_dist = grid.subsample_min(
-            windows, rows, cols, lambda k, x, y: _front_distance(grid.holes[k], u[k], x, y)
-        )
-        weight = np.clip(0.5 - sub_dist / grid.ramp, 0.0, 1.0)
-        fraction[edge] = weight.mean(axis=1)
-    return float(fraction.mean())

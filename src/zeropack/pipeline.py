@@ -132,10 +132,10 @@ def run_recipe(recipe: Recipe) -> ProcessReport:
             )
             for h in holes
         )
-    states = [
-        clog_mod.clog_state(h, stack, stack.clog_deposition, sealing, recipe.clog)
-        for h in holes
-    ]
+        states = [
+            clog_mod.clog_state(h, stack, stack.clog_deposition, sealing, recipe.clog)
+            for h in holes
+        ]
     governing = max(clog_thickness)
 
     _, solution, molding_checks = _molding(recipe)

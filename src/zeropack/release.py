@@ -42,7 +42,6 @@ from .geometry import (
     _HOLE_SHAPES,
     _front_distance,
     _raster,
-    _released,
     default_coverage_pitch,
     hole_area,
     release_coverage,
@@ -250,7 +249,7 @@ def time_to_release(
     feed = np.array([_feed(params, h_s, hole_area(h)) for h in holes])
 
     def covered(t: float) -> bool:
-        return _released(footprint, holes, _front(params, feed, h_s, t), pitch)
+        return release_coverage(footprint, holes, _front(params, feed, h_s, t), pitch) >= 1.0
 
     true_at, false_at = math.inf, -math.inf
 
@@ -333,7 +332,7 @@ def _release_estimate(footprint, holes, params, feed, h_s, pitch, max_time) -> f
     ``t_lo = max lo_c`` are subsampled, in descending ``hi_c`` until no
     later one can raise the maximum.
 
-    Each hole is evaluated on the window ``_coverage`` gives its front at
+    Each hole is evaluated on the window ``release_coverage`` gives its front at
     ``t_up``: a hole left out of a cell has ``T_i(D_i - half_diag) > t_up``
     there, so every cell time up to ``t_up`` is exact and one beyond it
     stays beyond it. ``t_up`` doubles from 1 min while some cell lies

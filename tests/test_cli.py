@@ -1,6 +1,8 @@
+import contextlib
 import hashlib
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -601,7 +603,56 @@ HOSTILE = [
         2,
         "input error: line 8: ",
     ),
+    # a closure rate that overflows to inf read as a hole sealed by no
+    # deposition, and the search for its seal never ended
+    (
+        "closure-per-side",
+        "simulate",
+        "[clogging]\nclosure_per_side = 1e308\n\n" + FAST_RECIPE,
+        2,
+        "input error: clogging: closure rate overflows: "
+        "closure_per_side or sticking ratio is too large",
+    ),
+    (
+        "reference-sticking",
+        "simulate",
+        "[clogging]\nreference_sticking = 1e-320\n\n" + FAST_RECIPE,
+        2,
+        "input error: clogging: closure rate overflows: "
+        "closure_per_side or sticking ratio is too large",
+    ),
+    # knee_ratio * cap_thickness underflowed to 0 and was divided by
+    (
+        "knee-ratio",
+        "simulate",
+        "[clogging]\nknee_ratio = 1e-320\n\n" + FAST_RECIPE,
+        2,
+        "input error: clogging: knee aperture underflows: "
+        "knee_ratio or cap thickness is too small",
+    ),
 ]
+
+
+class WallClockExpired(BaseException):
+    """Raised by :func:`wall_clock_limit`; a ``BaseException``, so that
+    ``cli.main`` cannot report it as an exit status."""
+
+
+@contextlib.contextmanager
+def wall_clock_limit(seconds=5.0):
+    """Interrupt the block with :class:`WallClockExpired` after
+    ``seconds`` of wall time, so that a hang fails instead of stalling."""
+
+    def expire(signum, frame):
+        raise WallClockExpired(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def assert_clean_exit(code, out, err):
@@ -624,11 +675,32 @@ class TestHostileInput:
     def test_recipe_exits_with_its_status(self, tmp_path, capsys, command, text, status, message):
         recipe = tmp_path / "hostile.recipe"
         recipe.write_text(text)
-        code = main([command, str(recipe), "--format", "tabular"])
+        with wall_clock_limit():
+            code = main([command, str(recipe), "--format", "tabular"])
         out, err = capsys.readouterr()
         assert code == status
         assert_clean_exit(code, out, err)
         assert err.splitlines()[-1].startswith(f"zeropack: {message}")
+
+    @pytest.mark.parametrize(
+        "path, values, message",
+        [
+            ("clogging.closure_per_side", "0.8,1e308", "closure rate overflows: "),
+            ("clogging.reference_sticking", "0.26,1e-320", "closure rate overflows: "),
+            ("clogging.knee_ratio", "2,1e-320", "knee aperture underflows: "),
+        ],
+        ids=["closure-per-side", "reference-sticking", "knee-ratio"],
+    )
+    def test_sweep_row_exits_with_its_stage(self, fast_recipe_file, capsys, path, values, message):
+        with wall_clock_limit():
+            code = main(["sweep", str(fast_recipe_file), "--param", path, "--values", values])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert_clean_exit(code, out, err)
+        bad = values.split(",")[1]
+        assert err.splitlines()[-1].startswith(
+            f"zeropack: input error: {path} = {bad}: clogging: {message}"
+        )
 
     @pytest.mark.parametrize("command", ["simulate", "check-molding"])
     def test_rigidity_underflow_is_a_model_error(self, tmp_path, capsys, command):
@@ -769,13 +841,15 @@ def with_line(path, value):
 
 
 class TestExtremeValueGrid:
-    # each numeric recipe key at each end of the float range: whatever
-    # the outcome, it is an exit status of the contract
-    @pytest.mark.parametrize("magnitude", ["1e-300", "1e300"])
+    # each numeric recipe key at each end of the float range, subnormal
+    # and largest finite magnitudes included: whatever the outcome, it is
+    # an exit status of the contract, reached in bounded time
+    @pytest.mark.parametrize("magnitude", ["1e-320", "1e-300", "1e300", "1e308"])
     @pytest.mark.parametrize("path", sorted(GRID_UNITS))
     def test_exits_in_the_contract(self, tmp_path, capsys, path, magnitude):
         recipe = tmp_path / "extreme.recipe"
         recipe.write_text(with_line(path, magnitude + GRID_UNITS[path]))
-        code = main(["simulate", str(recipe), "--format", "tabular"])
+        with wall_clock_limit():
+            code = main(["simulate", str(recipe), "--format", "tabular"])
         out, err = capsys.readouterr()
         assert_clean_exit(code, out, err)

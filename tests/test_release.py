@@ -23,9 +23,9 @@ from zeropack.geometry import (
     Hole,
     PackageStack,
     Rect,
-    _released,
     default_coverage_pitch,
     hole_area,
+    release_coverage,
 )
 from zeropack.release import (
     DEFAULT_ETCH_PARAMS,
@@ -275,7 +275,8 @@ NUMPY_SVD_RTOL = 1e-5
 
 def fidelity_fits(group):
     """``(observations, fixed)`` per fit: for ``"bundled"`` the full fit
-    of the bundled data and its two staged ``fixed=`` fits; for a seed the
+    of the bundled data and its two staged ``fixed=`` fits; for
+    ``"bound"`` one full fit whose steps meet a bound; for a seed the
     leave-one-out fits of the bundled data with each underetch scaled by
     a factor drawn from 1 +- 5 %."""
     obs = bundled_observations()
@@ -285,6 +286,23 @@ def fidelity_fits(group):
             (obs, {"aperture_factor": 0.0, "channel_factor": 0.0}),
             (obs, {"channel_factor": 0.0}),
         ]
+    if group == "bound":
+        # the bundled holes and times, with the underetch of a model with
+        # no channel resistance scaled by 1 +- 3 %: on the second draw of
+        # seed 3 a trust-region step of the last stage crosses the
+        # channel factor's bound of 0
+        rng = random.Random(3)
+        truth = EtchParams(1.8 * UM / MINUTE, 20 * UM, 0.0)
+        for _ in range(2):
+            drawn = [
+                replace(
+                    o,
+                    underetch=underetch(o.hole, stack_with(o.sacrificial_thickness), truth, o.time)
+                    * (1.0 + rng.uniform(-0.03, 0.03)),
+                )
+                for o in obs
+            ]
+        return [(drawn, None)]
     rng = random.Random(group)
     obs = [replace(o, underetch=o.underetch * (1.0 + rng.uniform(-0.05, 0.05))) for o in obs]
     return [(obs[:i] + obs[i + 1 :], None) for i in range(len(obs))]
@@ -295,27 +313,57 @@ def fitted(observations, fixed):
     return np.array([p.intrinsic_rate, p.aperture_factor, p.channel_factor])
 
 
-@pytest.mark.parametrize("group", ["bundled", *FIDELITY_SEEDS])
+# stages per group of fidelity_fits: three per full fit
+FIT_STAGES = {"bundled": 6, "bound": 3}
+
+
+@pytest.mark.parametrize("group", ["bundled", "bound", *FIDELITY_SEEDS])
 def test_fit_equals_scipy_least_squares_bit_for_bit(monkeypatch, group):
     # with scipy's SVD the port takes scipy's steps: every stage of every
     # fit returns the same x and residuals as scipy.optimize.least_squares
     monkeypatch.setattr(_trf, "svd", scipy.linalg.svd)
     port = _trf.least_squares
     stages = []
+    step_to_bound = _trf._step_to_bound
+    bound_steps = 0
+
+    def counted_step_to_bound(*args):
+        nonlocal bound_steps
+        bound_steps += 1
+        return step_to_bound(*args)
+
+    monkeypatch.setattr(_trf, "_step_to_bound", counted_step_to_bound)
 
     def compared(fun, x0, lb):
-        x, f = port(fun, x0, lb)
+        trials = {"port": [], "scipy": []}
+
+        def traced(name):
+            def traced_fun(x):
+                trials[name].append(x.tobytes())
+                return fun(x)
+
+            return traced_fun
+
+        x, f = port(traced("port"), x0, lb)
         want = scipy.optimize.least_squares(
-            fun, x0, bounds=(lb, np.inf), method="trf", x_scale="jac"
+            traced("scipy"), x0, bounds=(lb, np.inf), method="trf", x_scale="jac"
         )
-        stages.append((x0, np.array_equal(x, want.x) and np.array_equal(f, want.fun)))
+        # the same trial points in the same order; scipy then differences
+        # the final point once more for the Jacobian it returns
+        path = trials["scipy"][: len(trials["port"])] == trials["port"]
+        same = path and np.array_equal(x, want.x) and np.array_equal(f, want.fun)
+        stages.append((x0, same))
         return x, f
 
     monkeypatch.setattr(_trf, "least_squares", compared)
     for observations, fixed in fidelity_fits(group):
         calibrate_etch(observations, fixed=fixed)
-    assert len(stages) == (6 if group == "bundled" else 24)
+    assert len(stages) == FIT_STAGES.get(group, 24)
     assert [x0 for x0, same in stages if not same] == []
+    if group == "bound":
+        # the step cut at the bound, its reflection and the Cauchy step
+        # were weighed, as scipy weighs them
+        assert bound_steps > 0
 
 
 @pytest.mark.parametrize("group", ["bundled", *FIDELITY_SEEDS])
@@ -461,9 +509,9 @@ class TestTimeToRelease:
 
         def counted(*args):
             queries.append(args)
-            return _released(*args)
+            return release_coverage(*args)
 
-        monkeypatch.setattr(release_mod, "_released", counted)
+        monkeypatch.setattr(release_mod, "release_coverage", counted)
         r = reference_recipe
         t, _ = time_to_release(
             r.stack.cavity_footprint,
@@ -500,9 +548,9 @@ class TestTimeToRelease:
         def counted(*args):
             nonlocal queries
             queries += 1
-            return _released(*args)
+            return release_coverage(*args)
 
-        monkeypatch.setattr(release_mod, "_released", counted)
+        monkeypatch.setattr(release_mod, "release_coverage", counted)
         monkeypatch.setattr(release_mod, "_release_estimate", lambda *a: wrong(estimate(*a)))
         t, _ = time_to_release(fp, holes, stack, PARAMS, materials["sio2_sputter"], grid_pitch=pitch)
         assert t == expected
@@ -518,9 +566,9 @@ class TestTimeToRelease:
             queries += 1
             if queries > 200:
                 raise AssertionError("the release bisection does not terminate")
-            return _released(*args)
+            return release_coverage(*args)
 
-        monkeypatch.setattr(release_mod, "_released", capped)
+        monkeypatch.setattr(release_mod, "release_coverage", capped)
         r = fast_recipe
         slow = replace(r.etch, intrinsic_rate=1e-12 * UM / MINUTE)
         fp = r.stack.cavity_footprint
@@ -531,7 +579,8 @@ class TestTimeToRelease:
         # the left endpoint is returned: not yet released, one ulp later it is
         pitch = default_coverage_pitch(r.holes)
         verdicts = [
-            _released(fp, r.holes, [underetch(h, r.stack, slow, x) for h in r.holes], pitch)
+            release_coverage(fp, r.holes, [underetch(h, r.stack, slow, x) for h in r.holes], pitch)
+            >= 1.0
             for x in (t, math.nextafter(t, math.inf))
         ]
         assert verdicts == [False, True]
@@ -548,7 +597,7 @@ class TestTimeToRelease:
         verdicts = []
         for t in (5787.01171875, 5787.01171875 + TIME_TOLERANCE):
             u = [underetch(r.holes[0], r.stack, r.etch, t)] * len(r.holes)
-            released = _released(fp, r.holes, u, pitch)
+            released = release_coverage(fp, r.holes, u, pitch) >= 1.0
             assert released == (dense_release_coverage(fp, r.holes, u, pitch) >= 1.0)
             verdicts.append(released)
         assert verdicts == [False, True]
