@@ -185,7 +185,6 @@ def sweep(
     values: "list[float] | tuple[float, ...]",
     *,
     labels: "list[str] | None" = None,
-    max_workers: int | None = None,
 ) -> list[tuple[str, ProcessReport]]:
     """Run the recipe once per value of one numeric field.
 
@@ -193,9 +192,9 @@ def sweep(
     one after another in input order, each through :func:`run_recipe`.
     Rows with equal release inputs share one release: only the first
     runs ``time_to_release``, and the others take its time and loss.
-    ``max_workers`` is accepted and has no effect. ``labels`` (default
-    ``%.6g`` of each value) become the first column of the emitted table
-    and name the value in the error of a rejected value or a failed row.
+    ``labels`` (default ``%.6g`` of each value) become the first column
+    of the emitted table and name the value in the error of a rejected
+    value or a failed row.
     """
     if labels is None:
         labels = [f"{v:.6g}" for v in values]

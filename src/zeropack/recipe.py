@@ -423,7 +423,8 @@ def _calibrated_etch(source: _Entry, release: dict[str, _Entry], base_dir: Path)
         path = base_dir / path
     if not path.exists():
         raise RecipeError(f"line {source.lineno}: calibration file {path} not found")
-    return calibrate_etch(load_observations(path)).params
+    with located(f"line {source.lineno}: calibrate_from"):
+        return calibrate_etch(load_observations(path)).params
 
 
 def parse_recipe(text: str, *, base_dir: "Path | str | None" = None) -> Recipe:

@@ -75,12 +75,31 @@ class EtchParams:
 
 @dataclass(frozen=True)
 class EtchObservation:
-    """One measured underetch point: hole, film thickness, time, distance."""
+    """One measured underetch point: hole, film thickness, time, distance,
+    each checked when built (an out-of-range value raises ``ValueError``)."""
 
     hole: Hole
     sacrificial_thickness: float
     time: float
     underetch: float
+
+    def __post_init__(self) -> None:
+        for name, value in (
+            ("time", self.time),
+            ("underetch", self.underetch),
+            ("film thickness", self.sacrificial_thickness),
+        ):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+        if not self.time > 0.0:
+            raise ValueError("time must be > 0")
+        if self.underetch < 0.0:
+            raise ValueError("underetch must be >= 0")
+        if not self.sacrificial_thickness > 0.0:
+            raise ValueError("film thickness must be > 0")
+        # the fit seeds its etch rate from the largest underetch / time
+        if not math.isfinite(self.underetch / self.time):
+            raise ValueError("underetch / time must be finite")
 
 
 @dataclass(frozen=True)
@@ -123,35 +142,18 @@ def _front(params, feed_resistance, h_s, duration, u0=0.0):
 
     The positive root of the first integral, written as
     ``2 rhs / (p + sqrt(p^2 + 2 b rhs))`` so that it neither cancels for
-    small ``b rhs`` nor needs a branch at ``b = 0``. Works on floats and
-    numpy arrays alike (``feed_resistance`` and ``u0`` may be arrays); the
-    float path returns a float. Raises :class:`InputError` when the inputs
-    are so extreme that ``2 rhs`` or the discriminant overflows; a finite
-    pair gives a finite front.
+    small ``b rhs`` nor needs a branch at ``b = 0``, with ``rhs = R0 t +
+    p u0 + b u0^2 / 2`` the first integral's right side. Raises
+    :class:`InputError` when the inputs are so extreme that ``2 rhs`` or
+    the discriminant overflows; a finite pair gives a finite front.
     """
     p = 1.0 + feed_resistance
     b = params.channel_factor / h_s
-    if isinstance(p, np.ndarray) or isinstance(u0, np.ndarray):
-        # an overflow is raised below as an error, so numpy need not warn of it
-        with np.errstate(over="ignore", invalid="ignore"):
-            num, disc = _front_terms(params, p, b, duration, u0)
-        finite = np.isfinite(num).all() and np.isfinite(disc).all()
-        root = np.sqrt(disc)
-    else:  # calibration's hot loop: float arithmetic has nothing to silence
-        num, disc = _front_terms(params, p, b, duration, u0)
-        finite = math.isfinite(num) and math.isfinite(disc)
-        root = math.sqrt(disc)
-    if not finite:
-        raise InputError("etch front overflows: etch rate or time is too large")
-    return num / (p + root)
-
-
-def _front_terms(params, p, b, duration, u0):
-    """``2 rhs`` and the discriminant ``p^2 + 2 b rhs`` of :func:`_front`,
-    where ``rhs = R0 t + p u0 + b u0^2 / 2`` is the first integral's right
-    side."""
     rhs = params.intrinsic_rate * duration + p * u0 + 0.5 * b * u0 * u0
-    return 2.0 * rhs, p * p + 2.0 * b * rhs
+    num, disc = 2.0 * rhs, p * p + 2.0 * b * rhs
+    if not (math.isfinite(num) and math.isfinite(disc)):
+        raise InputError("etch front overflows: etch rate or time is too large")
+    return num / (p + math.sqrt(disc))
 
 
 def _arrival(params, feed_resistance, h_s, reach):
@@ -246,10 +248,11 @@ def time_to_release(
         raise ValueError("max_time must be > 0")
     pitch = grid_pitch if grid_pitch is not None else default_coverage_pitch(holes)
     h_s = stack.sacrificial_thickness
-    feed = np.array([_feed(params, h_s, hole_area(h)) for h in holes])
+    feed = [_feed(params, h_s, hole_area(h)) for h in holes]
 
     def covered(t: float) -> bool:
-        return release_coverage(footprint, holes, _front(params, feed, h_s, t), pitch) >= 1.0
+        fronts = [_front(params, q, h_s, t) for q in feed]
+        return release_coverage(footprint, holes, fronts, pitch) >= 1.0
 
     true_at, false_at = math.inf, -math.inf
 
@@ -350,7 +353,7 @@ def _release_estimate(footprint, holes, params, feed, h_s, pitch, max_time) -> f
         them; None while ``t_up < max_time`` and some cell lies outside
         every window, where its ``hi_c`` is inf."""
         try:
-            reach = _front(params, feed, h_s, t_up)
+            reach = np.array([_front(params, q, h_s, t_up) for q in feed])
         except InputError:
             reach = np.full(len(holes), np.inf)
         windows = grid.windows(reach)
@@ -403,19 +406,6 @@ def _release_estimate(footprint, holes, params, feed, h_s, pitch, max_time) -> f
     return best
 
 
-def _check_finite(obs: EtchObservation) -> None:
-    for name, value in (
-        ("time", obs.time),
-        ("underetch", obs.underetch),
-        ("film thickness", obs.sacrificial_thickness),
-    ):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite")
-    # the fit seeds its etch rate from the largest underetch / time
-    if obs.time and not math.isfinite(obs.underetch / obs.time):
-        raise ValueError("underetch / time must be finite")
-
-
 def calibrate_etch(
     observations: "list[EtchObservation] | tuple[EtchObservation, ...]",
     *,
@@ -456,15 +446,6 @@ def calibrate_etch(
         areas = {round(hole_area(o.hole) / (1e-9 * UM**2)) for o in obs}
         if len(areas) < 2:
             raise CalibrationError("observations must span at least 2 hole sizes")
-    for i, o in enumerate(obs):
-        with located(f"observation {i}", CalibrationError):
-            _check_finite(o)
-        if not o.time > 0.0:
-            raise CalibrationError(f"observation {i}: time must be > 0")
-        if o.underetch < 0.0:
-            raise CalibrationError(f"observation {i}: underetch must be >= 0")
-        if not o.sacrificial_thickness > 0.0:
-            raise CalibrationError(f"observation {i}: film thickness must be > 0")
 
     rate_floor = 1e-15
     seed_rate = max(max(o.underetch / o.time for o in obs), rate_floor)
@@ -481,7 +462,7 @@ def calibrate_etch(
 
     def residuals(x, subset):
         trial = dict(current)
-        # Python floats keep _front on its float path, off numpy scalars
+        # Python floats: _front's arithmetic on numpy scalars is slower
         trial.update(zip(subset, x.tolist()))
         trial["intrinsic_rate"] = max(trial["intrinsic_rate"], rate_floor)
         p = EtchParams(**trial)
@@ -532,14 +513,13 @@ def _parse_observations(text: str, source: str) -> list[EtchObservation]:
                 raise DataFileError(f"unknown shape {shape!r}")
             make, dims = _HOLE_SHAPES[shape]
             hole = make(*(d * UM for d in (dim1, dim2)[: len(dims)]))
+            # checked in SI units, so a time that overflows in seconds is caught
             obs = EtchObservation(
                 hole=hole,
                 sacrificial_thickness=h_s * UM,
                 time=t * MINUTE,
                 underetch=u * UM,
             )
-            # in SI units, so a time that overflows in seconds is caught
-            _check_finite(obs)
             out.append(obs)
     return out
 

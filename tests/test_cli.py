@@ -424,10 +424,13 @@ class TestCalibrate:
             ("circle,4,0,inf,2,1.0", "{where}: film thickness must be finite"),
             # each value is finite, but the fit's seed rate would not be
             ("square,3,0,1,1e-300,1e300", "{where}: underetch / time must be finite"),
+            ("circle,4,0,1.1,0,1.0", "{where}: time must be > 0"),
+            ("circle,4,0,1.1,2,-1.0", "{where}: underetch must be >= 0"),
+            ("circle,4,0,0,2,1.0", "{where}: film thickness must be > 0"),
         ],
         ids=[
             "u-1e300", "u-nan", "u-inf", "t-1e-300", "t-1e300", "t-inf", "t-1e308", "h-1e300", "h-inf",
-            "u-over-t",
+            "u-over-t", "t-0", "u-negative", "h-0",
         ],
     )
     def test_hostile_observation_prints_one_line(self, tmp_path, capsys, row, message):
@@ -717,6 +720,23 @@ class TestHostileInput:
         assert_clean_exit(code, out, err)
         assert err.splitlines() == [
             "zeropack: model error: molding: plate deflection or stress is not finite"
+        ]
+
+    def test_calibrate_from_error_names_its_recipe_line(self, tmp_path, capsys):
+        # one row cannot fit three constants: the error names the recipe
+        # line that asked for the fit
+        (tmp_path / "one.csv").write_text("circle, 2, 0, 1.1, 2, 0.4\n")
+        recipe = tmp_path / "calibrated.recipe"
+        recipe.write_text(
+            FAST_RECIPE.replace("[release]\n", "[release]\ncalibrate_from = one.csv\n")
+        )
+        code = main(["simulate", str(recipe), "--format", "tabular"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert_clean_exit(code, out, err)
+        assert err.splitlines() == [
+            "zeropack: input error: line 11: calibrate_from: "
+            "under-determined: 1 observations for 3 free parameters"
         ]
 
     def test_internal_fault_exits_seventy(self, fast_recipe_file, capsys, monkeypatch):

@@ -114,30 +114,14 @@ class TestUnderetch:
         u = underetch(Hole.circle(2 * UM), stack_with(1.1 * UM), PARAMS, 2 * MINUTE)
         assert type(u) is float
 
-    @pytest.mark.parametrize("t_min", [0.0, 0.37, 2.0, 96.5, 1e9])
-    def test_array_path_equals_scalar_path_exactly(self, t_min):
-        # time_to_release moves every hole's front at once; each must be
-        # the very float underetch gives for that hole alone
-        stack = stack_with(1.1 * UM)
-        holes = [
-            Hole.circle(2 * UM),
-            Hole.square(3.7 * UM),
-            Hole.rectangle(1.3 * UM, 9 * UM),
-            Hole.circle(40 * UM),
-        ]
-        h_s = stack.sacrificial_thickness
-        feed = np.array([release_mod._feed(PARAMS, h_s, hole_area(h)) for h in holes])
-        fronts = release_mod._front(PARAMS, feed, h_s, t_min * MINUTE)
-        assert fronts.tolist() == [underetch(h, stack, PARAMS, t_min * MINUTE) for h in holes]
-
     @pytest.mark.parametrize("t_min", [0.37, 2.0, 96.5, 1e9])
     def test_arrival_inverts_the_front(self, t_min):
         stack = stack_with(1.1 * UM)
         holes = [Hole.circle(2 * UM), Hole.rectangle(1.3 * UM, 9 * UM), Hole.circle(40 * UM)]
         h_s = stack.sacrificial_thickness
-        feed = np.array([release_mod._feed(PARAMS, h_s, hole_area(h)) for h in holes])
-        fronts = release_mod._front(PARAMS, feed, h_s, t_min * MINUTE)
-        times = release_mod._arrival(PARAMS, feed, h_s, fronts)
+        feed = [release_mod._feed(PARAMS, h_s, hole_area(h)) for h in holes]
+        fronts = [release_mod._front(PARAMS, q, h_s, t_min * MINUTE) for q in feed]
+        times = release_mod._arrival(PARAMS, np.array(feed), h_s, np.array(fronts))
         assert times == pytest.approx(t_min * MINUTE, rel=1e-12)
 
     @pytest.mark.filterwarnings("error")  # a time past the float range is inf, not a warning
@@ -160,8 +144,6 @@ class TestUnderetch:
         # an input error, so that a stage and a sweep row name themselves in it
         with pytest.raises(InputError, match="overflows"):
             release_mod._front(params, 0.0, 1 * UM, duration)
-        with pytest.raises(InputError, match="overflows"):
-            release_mod._front(params, np.array([0.0, 1.0]), 1 * UM, duration)
 
 
 class TestCalibration:
@@ -209,9 +191,8 @@ class TestCalibration:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_observation_rejected(self, field, name, value):
         obs = self.synthetic_observations(PARAMS)
-        obs[2] = replace(obs[2], **{field: value})
-        with pytest.raises(CalibrationError, match=f"^observation 2: {name} must be finite$"):
-            calibrate_etch(obs)
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            replace(obs[2], **{field: value})
 
     def test_no_free_parameters_rejected(self):
         obs = self.synthetic_observations(PARAMS)
@@ -373,6 +354,38 @@ def test_fit_with_numpy_svd_stays_close_to_scipy(monkeypatch, group):
     monkeypatch.setattr(_trf, "svd", scipy.linalg.svd)
     for got, fit in zip(ours, fits):
         np.testing.assert_allclose(got, fitted(*fit), rtol=NUMPY_SVD_RTOL, atol=0.0)
+
+
+def test_select_step_equals_scipy_bit_for_bit():
+    # a trust-region step that crosses a lower bound is weighed against its
+    # cut at the bound, its reflection and the Cauchy step as scipy weighs
+    # them; taking the model's minimiser as the step lets the cut one win
+    from scipy.optimize._lsq.trf import select_step
+
+    rng = np.random.default_rng(0)
+    n, m = 2, 4
+    draws = cut_wins = 0
+    while draws < 1000:
+        lb = rng.normal(size=n)
+        x = lb + rng.exponential(size=n)
+        d = rng.uniform(0.1, 2.0, size=n)
+        J_h = rng.normal(size=(m, n))
+        g_h = rng.normal(size=n)
+        diag_h = rng.uniform(0.0, 1.0, size=n)
+        p_h = -np.linalg.solve(J_h.T @ J_h + np.diag(diag_h), g_h)
+        p = d * p_h
+        if (x + p >= lb).all():
+            continue
+        Delta = np.linalg.norm(p_h) * rng.uniform(1.0, 1.5)
+        theta = rng.uniform(0.995, 1.0)
+        ours = p.copy()
+        got = _trf._select_step(x, J_h, diag_h, g_h, ours, p_h.copy(), d, Delta, lb, theta)
+        ub = np.full(n, np.inf)
+        want = select_step(x, J_h, diag_h, g_h, p.copy(), p_h.copy(), d, Delta, lb, ub, theta)
+        assert [np.asarray(v).tobytes() for v in got] == [np.asarray(v).tobytes() for v in want]
+        draws += 1
+        cut_wins += got[0] is ours
+    assert cut_wins > 0
 
 
 def test_non_finite_trial_only_shrinks_the_trust_region(monkeypatch):
@@ -693,6 +706,9 @@ class TestObservationFiles:
             ("circle, 2, 0, 1.1, 2, nan", ":1: underetch must be finite"),
             ("circle, 2, 0, inf, 2, 0.4", ":1: film thickness must be finite"),
             ("circle, 2, 0, 1.1, 1e308, 0.4", ":1: time must be finite"),
+            ("circle, 2, 0, 1.1, 0, 0.4", ":1: time must be > 0"),
+            ("circle, 2, 0, 1.1, 2, -0.4", ":1: underetch must be >= 0"),
+            ("circle, 2, 0, 0, 2, 0.4", ":1: film thickness must be > 0"),
         ],
     )
     def test_malformed_lines_rejected(self, tmp_path, line, match):
