@@ -40,7 +40,6 @@ from .mechanics import (
     compare_materials,
     dump_deflection,
     flexural_rigidity,
-    max_bending_stress,
     solve_plate,
 )
 from .pipeline import (

@@ -7,10 +7,12 @@ apart. Each derives from one of two bases that carry the CLI's report:
 :class:`InputError` (exit status 2) for a file or value the package
 cannot use, :class:`ModelError` (exit status 3) for a valid input the
 model cannot carry to a usable result. :func:`located` gives an error
-its location, such as ``line 7: cap_thickness`` or ``release``.
+its location, such as ``line 7: cap_thickness`` or ``release``, and
+:func:`read_text` reads an input file, naming its path in any error.
 """
 
 from contextlib import contextmanager
+from pathlib import Path
 
 
 class ZeropackError(Exception):
@@ -73,3 +75,16 @@ def located(where: str, error: "type[ZeropackError] | None" = None):
         if error is None:
             raise
         raise error(f"{where}: {exc}") from None
+
+
+def read_text(path: "Path | str", error: "type[InputError]") -> str:
+    """The UTF-8 text of the file at ``path``; a file that cannot be read
+    or is not UTF-8 raises ``error``, naming the path."""
+    try:
+        data = Path(path).read_bytes()
+        return data.decode("utf-8")
+    except OSError as exc:
+        raise error(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None

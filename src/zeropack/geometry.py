@@ -125,14 +125,12 @@ class PackageStack:
 class Material:
     """Etch, deposition, and mechanical constants for one film material.
 
-    ``etch_rate`` is the intrinsic (transport-unlimited) etch rate of the
-    material itself; ``selectivity_loss`` is the parasitic attack rate the
-    release chemistry inflicts on a film of this material while it etches
-    something else.
+    ``selectivity_loss`` is the parasitic attack rate the release
+    chemistry inflicts on a film of this material while it etches the
+    sacrificial film.
     """
 
     name: str
-    etch_rate: float = 0.0
     selectivity_loss: float = 0.0
     sticking_coefficient: float = 0.1
     youngs_modulus: float = 70.0 * GPA
@@ -140,8 +138,8 @@ class Material:
     failure_stress: float = 1.0 * GPA
 
     def __post_init__(self) -> None:
-        if self.etch_rate < 0.0 or self.selectivity_loss < 0.0:
-            raise ValueError("etch rates must be >= 0")
+        if self.selectivity_loss < 0.0:
+            raise ValueError("selectivity_loss must be >= 0")
         if not 0.0 < self.sticking_coefficient <= 1.0:
             raise ValueError("sticking coefficient must be in (0, 1]")
         if not self.youngs_modulus > 0.0:
@@ -159,13 +157,12 @@ def standard_materials() -> dict[str, Material]:
     """Built-in material library, keyed by name.
 
     Sticking coefficients for sputtered SiO2 (0.26) and LPCVD poly-Si
-    (below 0.01) are measured values; the mechanical constants and etch
-    rates are implementer defaults, overridable per recipe.
+    (below 0.01) are measured values; the mechanical constants and
+    selectivity losses are implementer defaults, overridable per recipe.
     """
     materials = [
         Material(
             "asi",
-            etch_rate=3.0 * UM / MINUTE,
             selectivity_loss=0.0,
             sticking_coefficient=0.9,
             youngs_modulus=80.0 * GPA,
@@ -174,7 +171,6 @@ def standard_materials() -> dict[str, Material]:
         ),
         Material(
             "sio2_sputter",
-            etch_rate=0.0,
             selectivity_loss=1.0 * NM / MINUTE,
             sticking_coefficient=0.26,
             youngs_modulus=70.0 * GPA,
@@ -183,7 +179,6 @@ def standard_materials() -> dict[str, Material]:
         ),
         Material(
             "lto",
-            etch_rate=0.0,
             selectivity_loss=1.0 * NM / MINUTE,
             sticking_coefficient=0.15,
             youngs_modulus=70.0 * GPA,
@@ -192,7 +187,6 @@ def standard_materials() -> dict[str, Material]:
         ),
         Material(
             "nitride_pecvd",
-            etch_rate=0.0,
             selectivity_loss=5.0 * NM / MINUTE,
             sticking_coefficient=0.1,
             youngs_modulus=250.0 * GPA,
@@ -201,7 +195,6 @@ def standard_materials() -> dict[str, Material]:
         ),
         Material(
             "polysi_lpcvd",
-            etch_rate=2.0 * UM / MINUTE,
             selectivity_loss=0.0,
             sticking_coefficient=0.005,
             youngs_modulus=160.0 * GPA,

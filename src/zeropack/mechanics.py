@@ -223,20 +223,6 @@ def _unit_peaks(side_a: float, side_b: float, grid_n: int):
     return float(v_peak), float(m_hat)
 
 
-def _extrema(spec: PlateSpec, grid_n: int) -> tuple[float, float]:
-    """``max |v|`` of the unit field and the peak bending stress
-    ``6 q M / t^2``, in which the rigidity cancels."""
-    v_peak, m_hat = _unit_peaks(spec.side_a, spec.side_b, grid_n)
-    # q M is the peak moment, so this order adds no overflow to that
-    # of 6 D max|w''| / t^2 on the scaled field
-    return v_peak, 6.0 * (spec.pressure * m_hat) / spec.thickness**2
-
-
-def max_bending_stress(spec: PlateSpec, solution: PlateSolution) -> float:
-    """Largest bending stress magnitude over the plate, in Pa."""
-    return _extrema(spec, solution.grid_n)[1]
-
-
 def solve_plate(spec: PlateSpec, grid_n: int = 128) -> PlateSolution:
     """Deflection of the clamped plate on a (grid_n+1)^2 node grid."""
     if grid_n < MIN_GRID_N:
@@ -245,7 +231,10 @@ def solve_plate(spec: PlateSpec, grid_n: int = 128) -> PlateSolution:
     # a t^2 or t^3 past the float range raises, so does a q / D whose D
     # underflows to 0
     try:
-        v_peak, sigma_max = _extrema(spec, grid_n)
+        v_peak, m_hat = _unit_peaks(spec.side_a, spec.side_b, grid_n)
+        # the peak stress 6 q M / t^2, in which the rigidity cancels; q M is
+        # the peak moment, so this order adds no overflow to 6 D max|w''| / t^2
+        sigma_max = 6.0 * (spec.pressure * m_hat) / spec.thickness**2
         d = flexural_rigidity(spec.material, spec.thickness)
         c = spec.pressure / d
         # rounding is monotone and c >= 0, so the peak of v c is the

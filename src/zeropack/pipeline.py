@@ -86,7 +86,8 @@ def _release(recipe: Recipe) -> tuple[float, float, float | None]:
     Inside a sweep, a recipe whose release inputs equal an earlier row's
     takes that row's time and loss. The inputs are the arguments passed
     to ``time_to_release``, with the stack reduced to its sacrificial
-    thickness, the only film the etch runs in.
+    thickness, the only film the etch runs in, and the structural film
+    to its selectivity loss, the only property of it the etch reads.
     """
     stack = recipe.stack
     footprint, holes, etch = stack.cavity_footprint, recipe.holes, recipe.etch
@@ -94,10 +95,8 @@ def _release(recipe: Recipe) -> tuple[float, float, float | None]:
     max_time, pitch = recipe.etch_max_time, recipe.coverage_pitch
     # == takes -0.0 for 0.0, but a loss of -0.0 prints as -0: the sign of
     # the selectivity loss joins the key
-    loss_sign = math.copysign(1.0, structural.selectivity_loss)
-    key = (
-        footprint, holes, stack.sacrificial_thickness, etch, structural, loss_sign, max_time, pitch
-    )
+    loss, h_s = structural.selectivity_loss, stack.sacrificial_thickness
+    key = (footprint, holes, h_s, etch, loss, math.copysign(1.0, loss), max_time, pitch)
     releases = _sweep_releases.get({})
     with located("release"):
         if key not in releases:

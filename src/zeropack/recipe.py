@@ -9,8 +9,8 @@ with line numbers.
 
 Sections::
 
-    [materials]   sacrificial / structural / sealing role assignments and
-                  per-material property overrides (e.g. lto.youngs_modulus)
+    [materials]   structural / sealing role assignments and per-material
+                  property overrides (e.g. lto.youngs_modulus)
     [stack]       sacrificial_thickness, cap_thickness, clog_deposition,
                   footprint (e.g. "30um x 30um")
     [holes]       one "hole = <shape> key=value ..." line per hole
@@ -45,7 +45,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .clogging import DEFAULT_MAX_DEPOSITION, ClogParams
-from .errors import RecipeError, located
+from .errors import RecipeError, located, read_text
 from .geometry import (
     _HOLE_SHAPES,
     Hole,
@@ -91,7 +91,6 @@ _NUMBER_RE = re.compile(r"([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*(\S*)")
 _SECTIONS = ("materials", "stack", "holes", "release", "clogging", "molding")
 
 _MATERIAL_FIELD_KINDS = {
-    "etch_rate": "rate",
     "selectivity_loss": "rate",
     "sticking_coefficient": "none",
     "youngs_modulus": "pressure",
@@ -157,7 +156,6 @@ class Recipe:
     """A fully resolved process recipe, in SI units throughout."""
 
     materials: dict[str, Material]
-    sacrificial: str
     structural: str
     sealing: str
     stack: PackageStack
@@ -403,7 +401,7 @@ def _parse_footprint(entry: _Entry) -> Rect:
 
 def _material_roles(entries: dict[str, _Entry]) -> dict[str, str]:
     """Pop the role keys of [materials]; the overrides stay in ``entries``."""
-    roles = {"sacrificial": "asi", "structural": "sio2_sputter", "sealing": "sio2_sputter"}
+    roles = {"structural": "sio2_sputter", "sealing": "sio2_sputter"}
     for role in roles:
         if role in entries:
             roles[role] = entries.pop(role).value
@@ -482,7 +480,6 @@ def parse_recipe(text: str, *, base_dir: "Path | str | None" = None) -> Recipe:
     with located(where, RecipeError):
         recipe = Recipe(
             materials=standard_materials(),
-            sacrificial=roles["sacrificial"],
             structural=roles["structural"],
             sealing=roles["sealing"],
             stack=stack,
@@ -511,5 +508,4 @@ def parse_recipe(text: str, *, base_dir: "Path | str | None" = None) -> Recipe:
 
 def load_recipe(path: "Path | str") -> Recipe:
     """Read and parse a recipe file; relative data paths resolve beside it."""
-    p = Path(path)
-    return parse_recipe(p.read_text(encoding="utf-8"), base_dir=p.parent)
+    return parse_recipe(read_text(path, RecipeError), base_dir=Path(path).parent)

@@ -33,7 +33,14 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import CalibrationError, DataFileError, InputError, ReleaseTooSlowError, located
+from .errors import (
+    CalibrationError,
+    DataFileError,
+    InputError,
+    ReleaseTooSlowError,
+    located,
+    read_text,
+)
 from .geometry import (
     Hole,
     Material,
@@ -442,6 +449,8 @@ def calibrate_etch(
         raise CalibrationError(
             f"under-determined: {len(obs)} observations for {len(free)} free parameters"
         )
+    if not any(o.underetch > 0.0 for o in obs):
+        raise CalibrationError("every underetch is 0, so the data cannot fix the etch constants")
     if len(free) == 3:
         areas = {round(hole_area(o.hole) / (1e-9 * UM**2)) for o in obs}
         if len(areas) < 2:
@@ -493,8 +502,7 @@ def load_observations(path) -> list[EtchObservation]:
     U_um``. ``dim2_um`` is the rectangle length and is ignored for
     circles and squares. Lines beginning with ``#`` are comments.
     """
-    with open(path, encoding="utf-8") as fh:
-        return _parse_observations(fh.read(), str(path))
+    return _parse_observations(read_text(path, DataFileError), str(path))
 
 
 def _parse_observations(text: str, source: str) -> list[EtchObservation]:

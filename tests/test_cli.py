@@ -18,6 +18,9 @@ from zeropack.cli import main
 from zeropack.pipeline import parse_tabular_report
 
 
+BUNDLED_DATA = SRC / "zeropack" / "data" / "sf6_underetch.csv"
+
+
 @pytest.fixture()
 def fast_recipe_file(tmp_path):
     path = tmp_path / "fast.recipe"
@@ -391,8 +394,7 @@ class TestCalibrate:
         assert parsed["n_observations"][1] == 5.0
 
     def test_bundled_tabular_bytes(self, capsys):
-        bundled = SRC / "zeropack" / "data" / "sf6_underetch.csv"
-        assert main(["calibrate-etch", str(bundled), "--format", "tabular"]) == 0
+        assert main(["calibrate-etch", str(BUNDLED_DATA), "--format", "tabular"]) == 0
         assert capsys.readouterr().out == (
             "field,units,value\n"
             "intrinsic_rate,um/min,1.75282\n"
@@ -401,6 +403,18 @@ class TestCalibrate:
             "residual,um,0.0621771\n"
             "n_observations,-,8\n"
         )
+
+    def test_all_zero_underetch_exits_two(self, tmp_path, capsys):
+        # no etch was seen, so no rate, aperture or channel factor fits it
+        path = tmp_path / "zero.csv"
+        path.write_text("".join(f"circle, {d}, 0, 1.1, 2, 0\n" for d in (2, 4, 6)))
+        code = main(["calibrate-etch", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert_clean_exit(code, out, err)
+        assert err.splitlines() == [
+            "zeropack: input error: every underetch is 0, so the data cannot fix the etch constants"
+        ]
 
     def test_under_determined_exits_two(self, tmp_path, capsys):
         path = tmp_path / "two.csv"
@@ -435,7 +449,7 @@ class TestCalibrate:
     )
     def test_hostile_observation_prints_one_line(self, tmp_path, capsys, row, message):
         path = tmp_path / "hostile.csv"
-        bundled = (SRC / "zeropack" / "data" / "sf6_underetch.csv").read_text()
+        bundled = BUNDLED_DATA.read_text()
         path.write_text(f"{bundled}{row}\n")
         code = main(["calibrate-etch", str(path)])
         out, err = capsys.readouterr()
@@ -633,6 +647,21 @@ HOSTILE = [
         "input error: clogging: knee aperture underflows: "
         "knee_ratio or cap thickness is too small",
     ),
+    # keys that older recipes may still carry
+    (
+        "sacrificial-role",
+        "simulate",
+        MATERIALS + "sacrificial = asi\n" + FAST_RECIPE,
+        2,
+        "input error: line 2: unknown key 'sacrificial' in [materials]",
+    ),
+    (
+        "etch-rate",
+        "simulate",
+        MATERIALS + "asi.etch_rate = 3um/min\n" + FAST_RECIPE,
+        2,
+        "input error: line 2: asi.etch_rate: unknown material property 'etch_rate'",
+    ),
 ]
 
 
@@ -722,21 +751,47 @@ class TestHostileInput:
             "zeropack: model error: molding: plate deflection or stress is not finite"
         ]
 
-    def test_calibrate_from_error_names_its_recipe_line(self, tmp_path, capsys):
-        # one row cannot fit three constants: the error names the recipe
-        # line that asked for the fit
+    @pytest.mark.parametrize(
+        "source, reason",
+        [
+            ("one.csv", "under-determined: 1 observations for 3 free parameters"),
+            ("bad.csv", "{path}:2: not UTF-8 text (invalid start byte)"),
+            (".", "{path}: Is a directory"),
+        ],
+        ids=["under-determined", "not-utf8", "directory"],
+    )
+    def test_calibrate_from_error_names_its_recipe_line(self, tmp_path, capsys, source, reason):
+        # a file the fit cannot use, read or decode: the error names the
+        # recipe line that asked for the fit
         (tmp_path / "one.csv").write_text("circle, 2, 0, 1.1, 2, 0.4\n")
+        (tmp_path / "bad.csv").write_bytes(b"circle, 2, 0, 1.1, 2, 0.4\n\xff")
         recipe = tmp_path / "calibrated.recipe"
         recipe.write_text(
-            FAST_RECIPE.replace("[release]\n", "[release]\ncalibrate_from = one.csv\n")
+            FAST_RECIPE.replace("[release]\n", f"[release]\ncalibrate_from = {source}\n")
         )
         code = main(["simulate", str(recipe), "--format", "tabular"])
         out, err = capsys.readouterr()
         assert code == 2
         assert_clean_exit(code, out, err)
+        reason = reason.format(path=tmp_path / source)
+        assert err.splitlines() == [f"zeropack: input error: line 11: calibrate_from: {reason}"]
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [("simulate", FAST_RECIPE), ("calibrate-etch", BUNDLED_DATA.read_text())],
+        ids=["recipe", "data-file"],
+    )
+    def test_file_not_utf8_names_its_line(self, tmp_path, capsys, command, text):
+        # one trailing 0xff byte, which no UTF-8 text holds
+        path = tmp_path / "input.txt"
+        path.write_bytes(text.encode() + b"\xff")
+        code = main([command, str(path), "--format", "tabular"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert_clean_exit(code, out, err)
+        line = text.count("\n") + 1
         assert err.splitlines() == [
-            "zeropack: input error: line 11: calibrate_from: "
-            "under-determined: 1 observations for 3 free parameters"
+            f"zeropack: input error: {path}:{line}: not UTF-8 text (invalid start byte)"
         ]
 
     def test_internal_fault_exits_seventy(self, fast_recipe_file, capsys, monkeypatch):
@@ -840,7 +895,8 @@ def _grid_units():
 
     unit = {"length": "um", "time": "min", "pressure": "MPa", "rate": "um/min"}
     paths = {path: kind for path, (kind, _) in _FIELDS.items()}
-    for material in ("asi", "sio2_sputter"):  # the roles of FAST_RECIPE
+    # sio2_sputter fills both roles of FAST_RECIPE, asi neither
+    for material in ("asi", "sio2_sputter"):
         for prop, kind in _MATERIAL_FIELD_KINDS.items():
             paths[f"materials.{material}.{prop}"] = kind
     return {path: unit.get(kind, "") for path, kind in sorted(paths.items())}
@@ -873,3 +929,99 @@ class TestExtremeValueGrid:
             code = main(["simulate", str(recipe), "--format", "tabular"])
         out, err = capsys.readouterr()
         assert_clean_exit(code, out, err)
+
+
+# A new value for every key a recipe can set, each of which changes the
+# reference report or its exit status: a key that changes neither is a
+# setting no stage reads. The limits take values that fail their check.
+NEW_VALUES = {
+    "stack.sacrificial_thickness": "4um",
+    "stack.cap_thickness": "3um",
+    "stack.clog_deposition": "3um",
+    "release.intrinsic_rate": "1um/min",
+    "release.aperture_factor": "30um",
+    "release.channel_factor": "0.5",
+    "release.max_time": "60min",
+    "release.coverage_pitch": "0.25um",
+    "release.probe_time": "2min",
+    "clogging.closure_per_side": "0.9",
+    "clogging.reference_sticking": "0.3",
+    "clogging.knee_ratio": "1.8",
+    "clogging.floor_attenuation": "0.3",
+    "clogging.residue_fraction": "0.1",
+    "clogging.residue_spread": "2",
+    "clogging.max_deposition": "1um",
+    "clogging.chamber_pressure": "1e-6mbar",
+    "molding.pressure": "5MPa",
+    "molding.max_deflection": "10nm",
+    "molding.safety_factor": "20",
+    "molding.grid_n": "64",
+    # sio2_sputter fills both roles of the reference recipe
+    "materials.sio2_sputter.selectivity_loss": "2nm/min",
+    "materials.sio2_sputter.sticking_coefficient": "0.3",
+    "materials.sio2_sputter.youngs_modulus": "80GPa",
+    "materials.sio2_sputter.poisson_ratio": "0.25",
+    "materials.sio2_sputter.failure_stress": "200MPa",
+    # lto has sio2_sputter's constants for every property the cap reads
+    "materials.structural": "nitride_pecvd",
+    "materials.sealing": "lto",
+}
+
+
+def settable_keys():
+    """Every key a recipe can set: the numeric fields, each property of a
+    material that fills a role by default, and the role keys."""
+    from zeropack.recipe import _FIELDS, _MATERIAL_FIELD_KINDS, _material_roles
+
+    roles = _material_roles({})
+    return {
+        *_FIELDS,
+        *(f"materials.{name}.{prop}" for name in roles.values() for prop in _MATERIAL_FIELD_KINDS),
+        *(f"materials.{role}" for role in roles),
+    }
+
+
+def reference_with(path, value):
+    """The reference recipe with ``path`` set to ``value`` by a line of
+    its section, which the recipe has, replacing the key's own line where
+    it has one."""
+    section, key = path.split(".", 1)
+    lines = REFERENCE_RECIPE.read_text().splitlines()
+    for i, line in enumerate(lines):
+        if line.partition("=")[0].strip() == key:
+            lines[i] = f"{key} = {value}"
+            break
+    else:
+        lines.insert(lines.index(f"[{section}]") + 1, f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+def simulate(tmp_path, capsys, text):
+    """Exit status and tabular report of ``zeropack simulate`` on ``text``."""
+    recipe = tmp_path / "edited.recipe"
+    recipe.write_text(text)
+    code = main(["simulate", str(recipe), "--format", "tabular"])
+    return code, capsys.readouterr().out
+
+
+class TestEverySettingIsRead:
+    def test_table_covers_every_settable_key(self):
+        assert set(NEW_VALUES) == settable_keys()
+
+    @pytest.mark.parametrize("path", sorted(NEW_VALUES))
+    def test_new_value_changes_the_report(self, tmp_path, capsys, path):
+        before = simulate(tmp_path, capsys, REFERENCE_RECIPE.read_text())
+        after = simulate(tmp_path, capsys, reference_with(path, NEW_VALUES[path]))
+        assert before[0] == 0
+        # the new value is one the recipe takes, so no input error stands
+        # in for a change
+        assert after[0] in (0, 1, 3)
+        assert after != before
+
+    def test_removed_sweep_param_exits_two(self, fast_recipe_file, capsys):
+        args = ["--param", "materials.asi.etch_rate", "--values", "0.1um/min,3um/min"]
+        code = main(["sweep", str(fast_recipe_file), *args])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert_clean_exit(code, out, err)
+        assert err.splitlines() == ["zeropack: input error: unknown material property 'etch_rate'"]

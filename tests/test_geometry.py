@@ -95,7 +95,7 @@ class TestStackAndMaterials:
         with pytest.raises(ValueError):
             Material("bad", poisson_ratio=0.5)
         with pytest.raises(ValueError):
-            Material("bad", etch_rate=-1.0)
+            Material("bad", selectivity_loss=-1.0)
 
 
 class TestReleaseCoverage:

@@ -56,6 +56,11 @@ SWEEP_VALUES = {
     "holes[0].diameter": [2 * UM, 2.5 * UM],
     # the structural film; a zero loss rate of either sign
     "materials.sio2_sputter.selectivity_loss": [0.0, -0.0, 1 * NM / MINUTE],
+    # the rest of the structural film, which the release does not read;
+    # the stress check fails at the lower failure stress
+    "materials.sio2_sputter.youngs_modulus": [60 * GPA, 70 * GPA, 80 * GPA],
+    "materials.sio2_sputter.poisson_ratio": [0.17, 0.25],
+    "materials.sio2_sputter.failure_stress": [1 * MPA, 2 * GPA],
 }
 # a deposition cap that the seal stays under leaves every result as it is
 REPORT_UNCHANGED = {"clogging.max_deposition"}
@@ -322,8 +327,20 @@ class TestSweep:
             ("stack.clog_deposition", [(1.5 + 0.25 * i) * UM for i in range(4)], 1),
             ("holes.diameter", [2 * UM, 3 * UM, 2 * UM], 2),
             ("molding.grid_n", [16, 32], 1),
+            ("materials.sio2_sputter.youngs_modulus", [60 * GPA, 70 * GPA, 80 * GPA], 1),
+            ("materials.sio2_sputter.poisson_ratio", [0.17, 0.2, 0.25], 1),
+            ("materials.sio2_sputter.failure_stress", [1 * MPA, 1 * GPA, 2 * GPA], 1),
+            ("materials.sio2_sputter.selectivity_loss", [0.0, -0.0, 0.0], 2),
         ],
-        ids=["clog_deposition", "hole_diameter", "grid_n"],
+        ids=[
+            "clog_deposition",
+            "hole_diameter",
+            "grid_n",
+            "youngs_modulus",
+            "poisson_ratio",
+            "failure_stress",
+            "selectivity_loss",
+        ],
     )
     def test_sweep_runs_each_distinct_release_once(
         self, fast_recipe, release_calls, path, values, releases

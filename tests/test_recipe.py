@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from conftest import REPO, SRC
 from zeropack.clogging import ClogParams
 from zeropack.errors import RecipeError
 from zeropack.pipeline import param_kind, set_param
@@ -103,7 +104,6 @@ class TestMinimalRecipe:
         assert r.molding.pressure == DEFAULT_MOLDING_PRESSURE
         assert r.molding.max_deflection is None
         assert r.molding.safety_factor == 1.0
-        assert r.sacrificial == "asi"
         assert r.structural == "sio2_sputter"
         assert r.sealing == "sio2_sputter"
 
@@ -219,9 +219,10 @@ class TestMaterialsSection:
 
     def test_unknown_material(self):
         with pytest.raises(
-            RecipeError, match="^line 2: unobtainium.etch_rate: unknown material 'unobtainium'$"
+            RecipeError,
+            match="^line 2: unobtainium.selectivity_loss: unknown material 'unobtainium'$",
         ):
-            parse_recipe("[materials]\nunobtainium.etch_rate = 1um/min\n" + MINIMAL)
+            parse_recipe("[materials]\nunobtainium.selectivity_loss = 1nm/min\n" + MINIMAL)
 
     def test_unknown_property(self):
         with pytest.raises(
@@ -273,6 +274,18 @@ class TestReleaseSection:
         r = load_recipe(recipe_file)
         direct = calibrate_etch(bundled_observations()).params
         assert r.etch.intrinsic_rate == pytest.approx(direct.intrinsic_rate, rel=1e-9)
+
+    def test_readme_example_parses(self, tmp_path):
+        # the example under "Recipe files", with the bundled data as the
+        # underetch.csv it calibrates from
+        section = (REPO / "README.md").read_text().split("\n## Recipe files\n", 1)[1]
+        example = re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+        bundled = SRC / "zeropack" / "data" / "sf6_underetch.csv"
+        (tmp_path / "underetch.csv").write_bytes(bundled.read_bytes())
+        (tmp_path / "example.recipe").write_text(example)
+        r = load_recipe(tmp_path / "example.recipe")
+        assert r.etch == calibrate_etch(bundled_observations()).params
+        assert len(r.holes) == 2
 
     def test_calibrate_from_conflicts_with_explicit(self, tmp_path):
         text = MINIMAL + "\n[release]\ncalibrate_from = x.csv\nintrinsic_rate = 2um/min\n"
@@ -390,7 +403,6 @@ FIELD_VALUES = {
 
 # one [materials] override per material property, same pairs
 MATERIAL_VALUES = {
-    "materials.asi.etch_rate": ("2um/min", "-1um/min"),
     "materials.lto.selectivity_loss": ("2nm/min", "-1nm/min"),
     "materials.sio2_sputter.sticking_coefficient": ("0.3", "7"),
     "materials.lto.youngs_modulus": ("80GPa", "0GPa"),
