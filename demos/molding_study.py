@@ -18,9 +18,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))  # run from
 from zeropack import (
     DesignConstraints,
     PlateSpec,
-    compare_materials,
     equivalent_thickness,
     min_cap_thickness,
+    solve_plate,
     standard_materials,
 )
 from zeropack.units import GPA, MPA, NM, UM
@@ -33,14 +33,12 @@ pressure = 10 * MPA  # 100 bar isostatic molding load
 # Step 1: deflection and stress of the two candidate caps
 print("candidate caps on a 30 x 30 um membrane at 100 bar")
 print("  material        t_um    w_max_nm   sigma_MPa   safety")
-specs = [
-    PlateSpec(30 * UM, 30 * UM, 4.5 * UM, lto, pressure),
-    PlateSpec(30 * UM, 30 * UM, 2.5 * UM, nitride, pressure),
-]
-for row in compare_materials(specs):
+for material, thickness in ((lto, 4.5 * UM), (nitride, 2.5 * UM)):
+    sol = solve_plate(PlateSpec(30 * UM, 30 * UM, thickness, material, pressure))
+    safety = material.failure_stress / sol.sigma_max
     print(
-        f"  {row.material:13s} {row.thickness / UM:5.2f}   {row.w_max / NM:9.2f}"
-        f"   {row.sigma_max / MPA:9.1f}   {row.safety_factor:6.1f}"
+        f"  {material.name:13s} {thickness / UM:5.2f}   {sol.w_max / NM:9.2f}"
+        f"   {sol.sigma_max / MPA:9.1f}   {safety:6.1f}"
     )
 
 # Step 2: thinnest LTO cap that keeps molding deflection under 25 nm

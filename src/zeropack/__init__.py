@@ -37,7 +37,6 @@ from .geometry import (
 from .mechanics import (
     PlateSolution,
     PlateSpec,
-    compare_materials,
     dump_deflection,
     flexural_rigidity,
     solve_plate,
@@ -57,11 +56,9 @@ from .release import (
     CalibrationResult,
     EtchObservation,
     EtchParams,
-    EtchState,
     bundled_observations,
     calibrate_etch,
     etch_rate,
-    etch_state,
     load_observations,
     time_to_release,
     underetch,

@@ -12,7 +12,7 @@ All stored quantities are SI (metres, pascals, metres/second); see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,9 +148,6 @@ class Material:
             raise ValueError("Poisson ratio must be in (0, 0.5)")
         if not self.failure_stress > 0.0:
             raise ValueError("failure stress must be > 0")
-
-    def with_overrides(self, **fields: float) -> "Material":
-        return replace(self, **fields)
 
 
 def standard_materials() -> dict[str, Material]:
@@ -316,16 +313,16 @@ def release_coverage(
         view = dist[r0:r1, c0:c1]
         np.minimum(view, _front_distance(hole, ui, *grid.centres(window)), out=view)
 
-    fraction = np.where(dist <= -half_diag, 1.0, 0.0)
-    edge = np.abs(dist) < half_diag
-    rows, cols = np.nonzero(edge)
+    rows, cols = np.nonzero((dist > -half_diag) & (dist < half_diag))
+    # the cell fractions overwrite the distances, so no second map is held
+    np.copyto(dist, dist <= -half_diag)
     if rows.size:
         sub_dist = grid.subsample_min(
             windows, rows, cols, lambda k, x, y: _front_distance(grid.holes[k], u[k], x, y)
         )
         weight = np.clip(0.5 - sub_dist / grid.ramp, 0.0, 1.0)
-        fraction[edge] = weight.mean(axis=1)
-    return float(fraction.mean())
+        dist[rows, cols] = weight.mean(axis=1)
+    return float(dist.mean())
 
 
 @dataclass(frozen=True, eq=False)

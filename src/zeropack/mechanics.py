@@ -250,41 +250,6 @@ def solve_plate(spec: PlateSpec, grid_n: int = 128) -> PlateSolution:
     return PlateSolution(spec=spec, w_max=w_max, sigma_max=sigma_max, grid_n=grid_n)
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    material: str
-    thickness: float
-    w_max: float
-    sigma_max: float
-    safety_factor: float
-
-
-def compare_materials(
-    specs: "list[PlateSpec] | tuple[PlateSpec, ...]", grid_n: int = 128
-) -> list[ComparisonRow]:
-    """Deflection, stress, and safety factor for each candidate cap."""
-    if not specs:
-        raise ValueError("at least one plate spec required")
-    rows = []
-    for spec in specs:
-        sol = solve_plate(spec, grid_n)
-        safety = (
-            spec.material.failure_stress / sol.sigma_max
-            if sol.sigma_max > 0.0
-            else float("inf")
-        )
-        rows.append(
-            ComparisonRow(
-                material=spec.material.name,
-                thickness=spec.thickness,
-                w_max=sol.w_max,
-                sigma_max=sol.sigma_max,
-                safety_factor=safety,
-            )
-        )
-    return rows
-
-
 def dump_deflection(solution: PlateSolution) -> str:
     """Deflection field as tabular text (x_um, y_um, w_nm per line)."""
     lines = ["# x_um,y_um,w_nm"]

@@ -14,9 +14,9 @@ third is the lateral channel resistance: species travel a path of length
 constants are calibrated against measured underetch data.
 
 The law has an exact first integral. With ``p = 1 + A_f h_s / A_open``
-and ``b = C_f / h_s``, a front that starts at ``u0`` satisfies
+and ``b = C_f / h_s``, a front that starts at the hole edge satisfies
 
-    p U + b U^2 / 2 = R0 t + p u0 + b u0^2 / 2
+    p U + b U^2 / 2 = R0 t
 
 so every front position is the positive root of one quadratic, evaluated
 directly at the queried time rather than stepped to it, and the time a
@@ -110,16 +110,6 @@ class EtchObservation:
 
 
 @dataclass(frozen=True)
-class EtchState:
-    """Snapshot of a release in progress."""
-
-    underetch: tuple[float, ...]
-    elapsed: float
-    structural_loss: float
-    released: bool
-
-
-@dataclass(frozen=True)
 class CalibrationResult:
     params: EtchParams
     residual: float
@@ -144,19 +134,20 @@ def etch_rate(
     )
 
 
-def _front(params, feed_resistance, h_s, duration, u0=0.0):
-    """Front position after etching ``duration`` from ``u0``.
+def _front(params, feed_resistance, h_s, duration):
+    """Front position after etching ``duration`` from the hole edge.
 
     The positive root of the first integral, written as
     ``2 rhs / (p + sqrt(p^2 + 2 b rhs))`` so that it neither cancels for
-    small ``b rhs`` nor needs a branch at ``b = 0``, with ``rhs = R0 t +
-    p u0 + b u0^2 / 2`` the first integral's right side. Raises
+    small ``b rhs`` nor needs a branch at ``b = 0``, with ``rhs = R0 t``
+    the first integral's right side. Raises
     :class:`InputError` when the inputs are so extreme that ``2 rhs`` or
     the discriminant overflows; a finite pair gives a finite front.
     """
     p = 1.0 + feed_resistance
     b = params.channel_factor / h_s
-    rhs = params.intrinsic_rate * duration + p * u0 + 0.5 * b * u0 * u0
+    # + 0.0 makes the front of a duration of -0.0 read +0.0, not -0.0
+    rhs = params.intrinsic_rate * duration + 0.0
     num, disc = 2.0 * rhs, p * p + 2.0 * b * rhs
     if not (math.isfinite(num) and math.isfinite(disc)):
         raise InputError("etch front overflows: etch rate or time is too large")
@@ -166,7 +157,7 @@ def _front(params, feed_resistance, h_s, duration, u0=0.0):
 def _arrival(params, feed_resistance, h_s, reach):
     """Time for a front starting at the hole edge to reach ``reach``.
 
-    The inverse of ``_front`` from ``u0 = 0``: ``(p U + b U^2 / 2) / R0``,
+    The inverse of ``_front``: ``(p U + b U^2 / 2) / R0``,
     written as ``U (p + b U / 2) / R0`` so that ``b = 0`` needs no branch,
     and 0 for ``U <= 0``. ``reach`` is an array; a time too large for a
     float is inf.
@@ -178,47 +169,12 @@ def _arrival(params, feed_resistance, h_s, reach):
     return np.where(reach > 0.0, t, 0.0)
 
 
-def underetch(
-    hole: Hole,
-    stack: PackageStack,
-    params: EtchParams,
-    duration: float,
-    *,
-    start: float = 0.0,
-) -> float:
-    """Underetch distance after etching for ``duration`` seconds.
-
-    ``start`` lets a run resume from a previous front position.
-    """
+def underetch(hole: Hole, stack: PackageStack, params: EtchParams, duration: float) -> float:
+    """Underetch distance after etching for ``duration`` seconds."""
     if duration < 0.0:
         raise ValueError("duration must be >= 0")
-    if start < 0.0:
-        raise ValueError("start must be >= 0")
     h_s = stack.sacrificial_thickness
-    return _front(params, _feed(params, h_s, hole_area(hole)), h_s, duration, start)
-
-
-def etch_state(
-    footprint: Rect,
-    holes: list[Hole] | tuple[Hole, ...],
-    stack: PackageStack,
-    params: EtchParams,
-    structural: Material,
-    elapsed: float,
-    grid_pitch: float | None = None,
-) -> EtchState:
-    """Per-hole fronts, parasitic cap loss, and release status at a time."""
-    if elapsed < 0.0:
-        raise ValueError("elapsed must be >= 0")
-    pitch = grid_pitch if grid_pitch is not None else default_coverage_pitch(holes)
-    u = [underetch(h, stack, params, elapsed) for h in holes]
-    coverage = release_coverage(footprint, holes, u, pitch)
-    return EtchState(
-        underetch=tuple(u),
-        elapsed=elapsed,
-        structural_loss=structural.selectivity_loss * elapsed,
-        released=coverage >= 1.0,
-    )
+    return _front(params, _feed(params, h_s, hole_area(hole)), h_s, duration)
 
 
 def time_to_release(
@@ -386,8 +342,10 @@ def _release_estimate(footprint, holes, params, feed, h_s, pitch, max_time) -> f
     latest = found[2].max()
     if t_up < max_time and latest > t_up:
         # a windowed cell time bounds the true one from above, so the
-        # windows at ``latest`` hold every hole a cell time comes from
-        found = cell_times(min(latest, max_time)) or found
+        # windows at ``latest`` hold every hole a cell time comes from;
+        # the maps at ``t_up`` go first, so two sets are never held at once
+        found = None
+        found = cell_times(min(latest, max_time)) or cell_times(t_up)
     windows, cells_lo, cells_hi = found
 
     rows, cols = np.nonzero(cells_hi >= cells_lo.max())

@@ -8,6 +8,7 @@ half is asserted here.
 
 import math
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -241,7 +242,7 @@ def test_criterion_7_thickness_optimizer():
     thin = solve_plate(PlateSpec(30 * UM, 30 * UM, t - 50 * NM, LTO, 10 * MPA), VERIFY_GRID_N)
     ok_margin = thin.w_max > constraints.max_deflection or thin.sigma_max > LTO.failure_stress
 
-    nit = NITRIDE.with_overrides(poisson_ratio=LTO.poisson_ratio)
+    nit = replace(NITRIDE, poisson_ratio=LTO.poisson_ratio)
     t_eq = equivalent_thickness(LTO, 4.5 * UM, nit, constraints)
     closed = 4.5 * UM * (LTO.youngs_modulus / nit.youngs_modulus) ** (1 / 3)
     ok_closed = abs(t_eq - closed) / closed < 0.005

@@ -662,6 +662,15 @@ HOSTILE = [
         2,
         "input error: line 2: asi.etch_rate: unknown material property 'etch_rate'",
     ),
+    # an override no stage reads: the report was the same without it
+    (
+        "role-less-material",
+        "simulate",
+        MATERIALS + "lto.youngs_modulus = 1GPa\n" + FAST_RECIPE,
+        2,
+        "input error: line 2: lto.youngs_modulus: material 'lto' fills no role "
+        "(structural is 'sio2_sputter', sealing is 'sio2_sputter')",
+    ),
 ]
 
 
@@ -733,6 +742,17 @@ class TestHostileInput:
         assert err.splitlines()[-1].startswith(
             f"zeropack: input error: {path} = {bad}: clogging: {message}"
         )
+
+    def test_sweep_of_a_material_that_fills_no_role_exits_two(self, fast_recipe_file, capsys):
+        path = "materials.lto.youngs_modulus"
+        code = main(["sweep", str(fast_recipe_file), "--param", path, "--values", "1GPa"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert_clean_exit(code, out, err)
+        assert err.splitlines() == [
+            f"zeropack: input error: {path} = 1GPa: material 'lto' fills no role "
+            "(structural is 'sio2_sputter', sealing is 'sio2_sputter')"
+        ]
 
     @pytest.mark.parametrize("command", ["simulate", "check-molding"])
     def test_rigidity_underflow_is_a_model_error(self, tmp_path, capsys, command):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -73,7 +74,7 @@ class TestClosureRate:
     def test_exactly_linear_in_sticking(self, sio2):
         base = closure_rate(3 * UM, CAP, sio2, PARAMS)
         for factor in (0.25, 0.5, 2.0):
-            scaled = sio2.with_overrides(sticking_coefficient=sio2.sticking_coefficient * factor)
+            scaled = replace(sio2, sticking_coefficient=sio2.sticking_coefficient * factor)
             assert closure_rate(3 * UM, CAP, scaled, PARAMS) == pytest.approx(
                 factor * base, rel=1e-12
             )

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -91,7 +92,7 @@ class TestMinCapThickness:
         assert sol.sigma_max <= lto.failure_stress / c.safety_factor
 
     def test_unconstrained_returns_lower_bound(self, lto):
-        free = lto.with_overrides(failure_stress=1e14)
+        free = replace(lto, failure_stress=1e14)
         c = molding_constraints(max_deflection=float("inf"), thickness_min=0.5 * UM)
         assert min_cap_thickness(free, c) == 0.5 * UM
 
@@ -111,7 +112,7 @@ class TestMinCapThickness:
             min_cap_thickness(lto, c)
 
     def test_stress_constraint_can_govern(self, lto):
-        brittle = lto.with_overrides(failure_stress=150 * MPA)
+        brittle = replace(lto, failure_stress=150 * MPA)
         c = molding_constraints(max_deflection=float("inf"))
         t = min_cap_thickness(brittle, c)
         sol = solve_plate(PlateSpec(c.side_a, c.side_b, t, brittle, c.pressure), VERIFY_GRID_N)
@@ -169,7 +170,7 @@ class TestEquivalentThickness:
         assert equivalent_thickness(lto, 4.5 * UM, lto, molding_constraints()) == 4.5 * UM
 
     def test_matches_cube_root_closed_form_with_equal_poisson(self, lto, nitride):
-        nit = nitride.with_overrides(poisson_ratio=lto.poisson_ratio)
+        nit = replace(nitride, poisson_ratio=lto.poisson_ratio)
         t = equivalent_thickness(lto, 4.5 * UM, nit, molding_constraints())
         closed = 4.5 * UM * (lto.youngs_modulus / nit.youngs_modulus) ** (1.0 / 3.0)
         assert t == pytest.approx(closed, rel=1e-12)
@@ -257,7 +258,7 @@ def test_warm_geometry_solve_counts(lto, nitride, monkeypatch):
         return solve_plate(spec, grid_n)
 
     monkeypatch.setattr(design, "solve_plate", counting)
-    for material in (lto, nitride, lto.with_overrides(failure_stress=150 * MPA)):
+    for material in (lto, nitride, replace(lto, failure_stress=150 * MPA)):
         calls.clear()
         assert min_cap_thickness(material, c) == scan_oracle(material, c)
         assert len(calls) <= 3
@@ -274,7 +275,7 @@ def test_one_peak_read_per_geometry(lto, nitride):
     # read once per geometry whatever the material's Poisson ratio
     mechanics._unit_peaks.cache_clear()
     c = molding_constraints(side_a=36.1 * UM, side_b=43.7 * UM)
-    materials = (lto, nitride, lto.with_overrides(failure_stress=150 * MPA))
+    materials = (lto, nitride, replace(lto, failure_stress=150 * MPA))
     for material in materials:
         min_cap_thickness(material, c)
     equivalent_thickness(lto, 4.5 * UM, nitride, c)

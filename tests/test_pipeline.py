@@ -240,9 +240,9 @@ class TestSetParam:
         before = fast_recipe.holes[0].width
         set_param(fast_recipe, "holes.diameter", 3 * UM)
         assert fast_recipe.holes[0].width == before
-        r = set_param(fast_recipe, "materials.lto.youngs_modulus", 80 * GPA)
-        assert r.materials["lto"].youngs_modulus == 80 * GPA
-        assert fast_recipe.materials["lto"].youngs_modulus == 70 * GPA
+        r = set_param(fast_recipe, "materials.sio2_sputter.youngs_modulus", 80 * GPA)
+        assert r.materials["sio2_sputter"].youngs_modulus == 80 * GPA
+        assert fast_recipe.materials["sio2_sputter"].youngs_modulus == 70 * GPA
 
     @pytest.mark.parametrize(
         "path",

@@ -239,8 +239,33 @@ class TestMaterialsSection:
             parse_recipe("[materials]\nsealing = unobtainium\n" + MINIMAL)
 
     def test_override_validation(self):
-        with pytest.raises(RecipeError, match="^line 2: lto.sticking_coefficient: sticking"):
-            parse_recipe("[materials]\nlto.sticking_coefficient = 7\n" + MINIMAL)
+        with pytest.raises(
+            RecipeError, match="^line 2: sio2_sputter.sticking_coefficient: sticking"
+        ):
+            parse_recipe("[materials]\nsio2_sputter.sticking_coefficient = 7\n" + MINIMAL)
+
+    def test_override_of_a_material_that_fills_no_role(self):
+        with pytest.raises(
+            RecipeError,
+            match=r"^line 2: lto.youngs_modulus: material 'lto' fills no role "
+            r"\(structural is 'sio2_sputter', sealing is 'sio2_sputter'\)$",
+        ):
+            parse_recipe("[materials]\nlto.youngs_modulus = 1GPa\n" + MINIMAL)
+
+    def test_roles_are_read_before_the_overrides(self):
+        # an override may come before the role line that makes it count
+        text = (
+            "[materials]\n"
+            "nitride_pecvd.poisson_ratio = 0.3\n"
+            "polysi_lpcvd.sticking_coefficient = 0.01\n"
+            "structural = nitride_pecvd\n"
+            "sealing = polysi_lpcvd\n" + MINIMAL
+        )
+        r = parse_recipe(text)
+        assert r.material("structural").poisson_ratio == 0.3
+        assert r.material("sealing").sticking_coefficient == 0.01
+        with pytest.raises(RecipeError, match="^line 2: sio2_sputter.poisson_ratio: material "):
+            parse_recipe(text.replace("nitride_pecvd.poisson", "sio2_sputter.poisson"))
 
 
 class TestReleaseSection:
@@ -402,12 +427,13 @@ FIELD_VALUES = {
 }
 
 # one [materials] override per material property, same pairs
+# sio2_sputter fills both default roles; a material that fills none is rejected
 MATERIAL_VALUES = {
-    "materials.lto.selectivity_loss": ("2nm/min", "-1nm/min"),
+    "materials.sio2_sputter.selectivity_loss": ("2nm/min", "-1nm/min"),
     "materials.sio2_sputter.sticking_coefficient": ("0.3", "7"),
-    "materials.lto.youngs_modulus": ("80GPa", "0GPa"),
-    "materials.nitride_pecvd.poisson_ratio": ("0.3", "0.5"),
-    "materials.polysi_lpcvd.failure_stress": ("2GPa", "-1MPa"),
+    "materials.sio2_sputter.youngs_modulus": ("80GPa", "0GPa"),
+    "materials.sio2_sputter.poisson_ratio": ("0.3", "0.5"),
+    "materials.sio2_sputter.failure_stress": ("3GPa", "-1MPa"),
 }
 ALL_VALUES = FIELD_VALUES | MATERIAL_VALUES
 

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -23,10 +24,12 @@ from zeropack.geometry import (
     Hole,
     PackageStack,
     Rect,
+    _raster_shape,
     default_coverage_pitch,
     hole_area,
     release_coverage,
 )
+from zeropack.pipeline import set_param
 from zeropack.release import (
     DEFAULT_ETCH_PARAMS,
     DEFAULT_TIME_CAP,
@@ -36,7 +39,6 @@ from zeropack.release import (
     bundled_observations,
     calibrate_etch,
     etch_rate,
-    etch_state,
     load_observations,
     time_to_release,
     underetch,
@@ -103,12 +105,10 @@ class TestUnderetch:
         u = underetch(hole, stack, PARAMS, t_min * MINUTE)
         assert u == pytest.approx(closed_form_underetch(hole, stack, PARAMS, t_min * MINUTE), rel=1e-7)
 
-    def test_semigroup_resume(self):
-        hole, stack = Hole.circle(3 * UM), stack_with(1.1 * UM)
-        u1 = underetch(hole, stack, PARAMS, 1.7 * MINUTE)
-        resumed = underetch(hole, stack, PARAMS, 2.6 * MINUTE, start=u1)
-        direct = underetch(hole, stack, PARAMS, 4.3 * MINUTE)
-        assert resumed == pytest.approx(direct, rel=1e-12)
+    def test_front_at_negative_zero_time_is_positive_zero(self):
+        # a probe_time of -0s reaches underetch as -0.0; its front prints 0, not -0
+        u = underetch(Hole.circle(2 * UM), stack_with(1.1 * UM), PARAMS, -0.0)
+        assert math.copysign(1.0, u) == 1.0
 
     def test_returns_a_python_float(self):
         u = underetch(Hole.circle(2 * UM), stack_with(1.1 * UM), PARAMS, 2 * MINUTE)
@@ -541,6 +541,29 @@ class TestTimeToRelease:
         # step of the search asked it)
         assert len(queries) == 2
 
+    def test_reference_release_peak_memory_per_cell(self, reference_recipe):
+        # the estimate drops its maps at t_up before building the later
+        # ones, and the coverage query turns its distance map into the
+        # cell fractions in place: 35 B/cell held both
+        r = set_param(reference_recipe, "release.coverage_pitch", 58.59375 * NM)
+        cells = 512 * 512
+        assert math.prod(_raster_shape(r.stack.cavity_footprint, r.coverage_pitch)) == cells
+        tracemalloc.start()
+        try:
+            time_to_release(
+                r.stack.cavity_footprint,
+                r.holes,
+                r.stack,
+                r.etch,
+                r.material("structural"),
+                max_time=r.etch_max_time,
+                grid_pitch=r.coverage_pitch,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / cells <= 24.0
+
     @pytest.mark.parametrize(
         "wrong",
         [lambda t: 0.5 * t, lambda t: 2.0 * t, lambda t: 0.0, lambda t: math.inf],
@@ -656,20 +679,6 @@ class TestTimeToRelease:
         extra = base + [Hole.circle(2 * UM, (3 * UM, 2 * UM))]
         t_extra, _ = time_to_release(fp, extra, stack, PARAMS, sio2)
         assert t_extra <= t_base
-
-    def test_etch_state_snapshot(self, materials):
-        fp = Rect(10 * UM, 10 * UM)
-        stack = PackageStack(1.1 * UM, 2 * UM, 2.5 * UM, fp)
-        state = etch_state(
-            fp, [Hole.circle(2 * UM)], stack, PARAMS, materials["sio2_sputter"], 2 * MINUTE
-        )
-        assert state.underetch[0] == pytest.approx(
-            underetch(Hole.circle(2 * UM), stack, PARAMS, 2 * MINUTE)
-        )
-        assert not state.released
-        assert state.structural_loss == pytest.approx(
-            materials["sio2_sputter"].selectivity_loss * 2 * MINUTE
-        )
 
 
 class TestObservationFiles:
