@@ -14,9 +14,7 @@ cli        command-line front end
 
 from .clogging import (
     ClogParams,
-    ClogState,
     aperture_after,
-    clog_state,
     closure_rate,
     flux_attenuation,
     residue_estimate,

@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import InputError, UncloggableError
-from .geometry import Hole, Material, PackageStack, hole_min_dimension
+from .geometry import Hole, Material, hole_min_dimension
 from .units import UM
 
 DEFAULT_MAX_DEPOSITION = 10.0 * UM
@@ -61,17 +61,6 @@ class ClogParams:
             raise ValueError("floor_attenuation must be in [0, 1)")
         if self.residue_fraction < 0.0 or self.residue_spread < 0.0:
             raise ValueError("residue constants must be >= 0")
-
-
-@dataclass(frozen=True)
-class ClogState:
-    """Closure state of one hole after a given deposited thickness."""
-
-    remaining_aperture: float
-    deposited: float
-    residue_thickness: float
-    residue_footprint: float
-    sealed: bool
 
 
 def flux_attenuation(ratio: float, params: ClogParams) -> float:
@@ -210,23 +199,3 @@ def residue_estimate(
     residue = params.residue_fraction * (upper + lower) / (rate * a0)
     return residue, footprint
 
-
-def clog_state(
-    hole: Hole,
-    stack: PackageStack,
-    deposited: float,
-    material: Material,
-    params: ClogParams,
-) -> ClogState:
-    """Closure snapshot of one hole in a package stack."""
-    remaining = aperture_after(hole, stack.cap_thickness, deposited, material, params)
-    residue, footprint = residue_estimate(
-        hole, stack.cap_thickness, deposited, material, params
-    )
-    return ClogState(
-        remaining_aperture=remaining,
-        deposited=deposited,
-        residue_thickness=residue,
-        residue_footprint=footprint,
-        sealed=remaining == 0.0,
-    )

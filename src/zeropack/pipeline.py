@@ -93,10 +93,8 @@ def _release(recipe: Recipe) -> tuple[float, float, float | None]:
     footprint, holes, etch = stack.cavity_footprint, recipe.holes, recipe.etch
     structural = recipe.material("structural")
     max_time, pitch = recipe.etch_max_time, recipe.coverage_pitch
-    # == takes -0.0 for 0.0, but a loss of -0.0 prints as -0: the sign of
-    # the selectivity loss joins the key
     loss, h_s = structural.selectivity_loss, stack.sacrificial_thickness
-    key = (footprint, holes, h_s, etch, loss, math.copysign(1.0, loss), max_time, pitch)
+    key = (footprint, holes, h_s, etch, loss, max_time, pitch)
     releases = _sweep_releases.get({})
     with located("release"):
         if key not in releases:
@@ -116,37 +114,30 @@ def run_recipe(recipe: Recipe) -> ProcessReport:
     """
     stack = recipe.stack
     holes = recipe.holes
-    sealing = recipe.material("sealing")
+    sealing, clog = recipe.material("sealing"), recipe.clog
+    cap, deposited = stack.cap_thickness, stack.clog_deposition
 
     release_time, structural_loss, probe_u = _release(recipe)
 
     with located("clogging"):
         clog_thickness = tuple(
-            clog_mod.thickness_to_clog(
-                h,
-                stack.cap_thickness,
-                sealing,
-                recipe.clog,
-                max_deposition=recipe.max_deposition,
-            )
+            clog_mod.thickness_to_clog(h, cap, sealing, clog, max_deposition=recipe.max_deposition)
             for h in holes
         )
-        states = [
-            clog_mod.clog_state(h, stack, stack.clog_deposition, sealing, recipe.clog)
-            for h in holes
-        ]
+        remaining = tuple(clog_mod.aperture_after(h, cap, deposited, sealing, clog) for h in holes)
+        residues = [clog_mod.residue_estimate(h, cap, deposited, sealing, clog) for h in holes]
     governing = max(clog_thickness)
 
     _, solution, molding_checks = _molding(recipe)
-    checks = {"sealed": stack.clog_deposition >= governing, **molding_checks}
+    checks = {"sealed": deposited >= governing, **molding_checks}
     report = ProcessReport(
         release_time=release_time,
         structural_loss=structural_loss,
         clog_thickness=clog_thickness,
         governing_clog=governing,
-        remaining_aperture=tuple(s.remaining_aperture for s in states),
-        residue_thickness=tuple(s.residue_thickness for s in states),
-        residue_footprint=tuple(s.residue_footprint for s in states),
+        remaining_aperture=remaining,
+        residue_thickness=tuple(r for r, _ in residues),
+        residue_footprint=tuple(f for _, f in residues),
         cavity_pressure=recipe.chamber_pressure,
         molding_deflection=solution.w_max,
         molding_stress=solution.sigma_max,

@@ -26,11 +26,13 @@ library defaults.
 Every numeric key of [stack], [release], [clogging] and [molding] is
 listed once in ``_FIELDS`` with its dimension and its place in
 :class:`Recipe`; a [materials] override ``<name>.<property>`` takes its
-dimension from ``_MATERIAL_FIELD_KINDS``. A recipe line and
-``pipeline.set_param`` (the sweep) both go through ``_set_field``, so
-they accept and reject the same values; a rejected line is reported as
-``line N: key: reason``. Only ``footprint``, ``calibrate_from``, the
-material roles and the required [stack] keys are read outside it.
+dimension, and the role whose material it must be, from
+``_MATERIAL_FIELDS``. A recipe line and ``pipeline.set_param`` (the
+sweep) both go through ``_set_field``, so they accept and reject the
+same values, and both store a value of -0 as 0; a rejected line is
+reported as ``line N: key: reason``. Only ``footprint``,
+``calibrate_from``, the material roles and the required [stack] keys
+are read outside it.
 
 Values that would drive unbounded work are rejected in the same
 dataclass checks: ``grid_n`` lies in ``[MIN_GRID_N, MAX_GRID_N]`` and
@@ -91,12 +93,14 @@ _NUMBER_RE = re.compile(r"([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*(\S*)")
 
 _SECTIONS = ("materials", "stack", "holes", "release", "clogging", "molding")
 
-_MATERIAL_FIELD_KINDS = {
-    "selectivity_loss": "rate",
-    "sticking_coefficient": "none",
-    "youngs_modulus": "pressure",
-    "poisson_ratio": "none",
-    "failure_stress": "pressure",
+# "<property>" of a [materials] override -> (dimension, the role whose
+# material the stages read it from)
+_MATERIAL_FIELDS = {
+    "selectivity_loss": ("rate", "structural"),
+    "sticking_coefficient": ("none", "sealing"),
+    "youngs_modulus": ("pressure", "structural"),
+    "poisson_ratio": ("none", "structural"),
+    "failure_stress": ("pressure", "structural"),
 }
 _MATERIAL_NAMES = frozenset(standard_materials())
 
@@ -323,9 +327,9 @@ def _field_kind(path: str) -> str:
         name, prop = m.groups()
         if name not in _MATERIAL_NAMES:
             raise RecipeError(f"unknown material {name!r}")
-        if prop not in _MATERIAL_FIELD_KINDS:
+        if prop not in _MATERIAL_FIELDS:
             raise RecipeError(f"unknown material property {prop!r}")
-        return _MATERIAL_FIELD_KINDS[prop]
+        return _MATERIAL_FIELDS[prop][0]
     raise RecipeError(f"{path!r} is not a numeric recipe field")
 
 
@@ -341,19 +345,29 @@ def _resize_hole(hole: Hole, dim: str, value: float) -> Hole:
 def _set_field(recipe: Recipe, path: str, value: float, where: str) -> Recipe:
     """Copy of ``recipe`` with the field at ``path`` set to ``value`` (SI).
 
+    A value of -0.0 is stored as 0.0, so that no report prints a -0.
     Out-of-range values fail the owning dataclass's own checks; these, a
-    bad hole index or dimension and an override of a material that fills
-    no role are reported as ``RecipeError`` prefixed with ``where``.
+    bad hole index or dimension and an override of a property that no
+    stage reads of its material are reported as ``RecipeError`` prefixed
+    with ``where``.
     """
     _field_kind(path)
+    # -0.0 + 0 is 0.0, and a count + 0 stays an int
+    value = value + 0
     with located(where, RecipeError):
         if path.startswith("materials."):
             name, prop = _MATERIALS_PATH_RE.fullmatch(path).groups()
-            # no stage reads a material outside the two roles
             if name not in (recipe.structural, recipe.sealing):
                 raise RecipeError(
                     f"material {name!r} fills no role (structural is "
                     f"{recipe.structural!r}, sealing is {recipe.sealing!r})"
+                )
+            # the stages read each property of one role's material only
+            role = _MATERIAL_FIELDS[prop][1]
+            if getattr(recipe, role) != name:
+                raise RecipeError(
+                    f"no stage reads {prop} of {name!r}: the {role} material "
+                    f"is {getattr(recipe, role)!r}"
                 )
             material = replace(recipe.materials[name], **{prop: value})
             return replace(recipe, materials={**recipe.materials, name: material})

@@ -403,9 +403,15 @@ def calibrate_etch(
     free = [n for n in _PARAM_ORDER if n not in fixed]
     if not free:
         raise CalibrationError("at least one parameter must be left free")
-    if len(obs) < len(free):
+    # each residual is (underetch(o.hole, stack, p, o.time) - o.underetch)
+    # / UM, with the observation's floats and hole area read once per fit
+    rows = [(o.sacrificial_thickness, hole_area(o.hole), o.time, o.underetch) for o in obs]
+    # repeated measurements of one (film, hole area, time) point fix one
+    # value of the front, so only distinct points count
+    points = len({row[:3] for row in rows})
+    if points < len(free):
         raise CalibrationError(
-            f"under-determined: {len(obs)} observations for {len(free)} free parameters"
+            f"under-determined: {points} distinct observations for {len(free)} free parameters"
         )
     if not any(o.underetch > 0.0 for o in obs):
         raise CalibrationError("every underetch is 0, so the data cannot fix the etch constants")
@@ -422,10 +428,6 @@ def calibrate_etch(
         "channel_factor": 0.0,
     }
     current.update(fixed)
-
-    # each residual is (underetch(o.hole, stack, p, o.time) - o.underetch)
-    # / UM, with the observation's floats and hole area read once per fit
-    rows = [(o.sacrificial_thickness, hole_area(o.hole), o.time, o.underetch) for o in obs]
 
     def residuals(x, subset):
         trial = dict(current)

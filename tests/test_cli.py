@@ -19,6 +19,12 @@ from zeropack.pipeline import parse_tabular_report
 
 
 BUNDLED_DATA = SRC / "zeropack" / "data" / "sf6_underetch.csv"
+# three observations of two distinct points, too few for three constants
+REPEATED_POINT = (
+    "circle, 2.0, 0, 1.1, 40, 20.0\n"
+    "circle, 4.0, 0, 1.1, 40, 30.0\n"
+    "circle, 4.0, 0, 1.1, 40, 30.0\n"
+)
 
 
 @pytest.fixture()
@@ -416,9 +422,14 @@ class TestCalibrate:
             "zeropack: input error: every underetch is 0, so the data cannot fix the etch constants"
         ]
 
-    def test_under_determined_exits_two(self, tmp_path, capsys):
-        path = tmp_path / "two.csv"
-        path.write_text("circle, 2, 0, 1.1, 2, 0.4\ncircle, 4, 0, 1.1, 2, 1.1\n")
+    @pytest.mark.parametrize(
+        "text",
+        ["circle, 2, 0, 1.1, 2, 0.4\ncircle, 4, 0, 1.1, 2, 1.1\n", REPEATED_POINT],
+        ids=["two-rows", "repeated-point"],
+    )
+    def test_under_determined_exits_two(self, tmp_path, capsys, text):
+        path = tmp_path / "under.csv"
+        path.write_text(text)
         assert main(["calibrate-etch", str(path)]) == 2
 
     # the bundled data plus one extreme row: most once printed numpy
@@ -671,6 +682,23 @@ HOSTILE = [
         "input error: line 2: lto.youngs_modulus: material 'lto' fills no role "
         "(structural is 'sio2_sputter', sealing is 'sio2_sputter')",
     ),
+    # an override of a property that no stage reads of its material's role
+    (
+        "sealing-material-youngs-modulus",
+        "simulate",
+        MATERIALS + "sealing = lto\nlto.youngs_modulus = 1GPa\n" + FAST_RECIPE,
+        2,
+        "input error: line 3: lto.youngs_modulus: no stage reads youngs_modulus of "
+        "'lto': the structural material is 'sio2_sputter'",
+    ),
+    (
+        "structural-material-sticking",
+        "simulate",
+        MATERIALS + "sealing = lto\nsio2_sputter.sticking_coefficient = 0.9\n" + FAST_RECIPE,
+        2,
+        "input error: line 3: sio2_sputter.sticking_coefficient: no stage reads "
+        "sticking_coefficient of 'sio2_sputter': the sealing material is 'lto'",
+    ),
 ]
 
 
@@ -743,16 +771,43 @@ class TestHostileInput:
             f"zeropack: input error: {path} = {bad}: clogging: {message}"
         )
 
-    def test_sweep_of_a_material_that_fills_no_role_exits_two(self, fast_recipe_file, capsys):
-        path = "materials.lto.youngs_modulus"
-        code = main(["sweep", str(fast_recipe_file), "--param", path, "--values", "1GPa"])
+    @pytest.mark.parametrize(
+        "roles, path, value, reason",
+        [
+            (
+                "",
+                "materials.lto.youngs_modulus",
+                "1GPa",
+                "material 'lto' fills no role (structural is 'sio2_sputter', sealing is "
+                "'sio2_sputter')",
+            ),
+            (
+                "sealing = lto\n",
+                "materials.lto.youngs_modulus",
+                "1GPa",
+                "no stage reads youngs_modulus of 'lto': the structural material is "
+                "'sio2_sputter'",
+            ),
+            (
+                "sealing = lto\n",
+                "materials.sio2_sputter.sticking_coefficient",
+                "0.9",
+                "no stage reads sticking_coefficient of 'sio2_sputter': the sealing "
+                "material is 'lto'",
+            ),
+        ],
+        ids=["role-less-material", "sealing-material-youngs-modulus", "structural-material-sticking"],
+    )
+    def test_sweep_of_a_property_no_stage_reads_exits_two(
+        self, tmp_path, capsys, roles, path, value, reason
+    ):
+        recipe = tmp_path / "roles.recipe"
+        recipe.write_text(MATERIALS + roles + FAST_RECIPE)
+        code = main(["sweep", str(recipe), "--param", path, "--values", value])
         out, err = capsys.readouterr()
         assert code == 2
         assert_clean_exit(code, out, err)
-        assert err.splitlines() == [
-            f"zeropack: input error: {path} = 1GPa: material 'lto' fills no role "
-            "(structural is 'sio2_sputter', sealing is 'sio2_sputter')"
-        ]
+        assert err.splitlines() == [f"zeropack: input error: {path} = {value}: {reason}"]
 
     @pytest.mark.parametrize("command", ["simulate", "check-molding"])
     def test_rigidity_underflow_is_a_model_error(self, tmp_path, capsys, command):
@@ -774,16 +829,19 @@ class TestHostileInput:
     @pytest.mark.parametrize(
         "source, reason",
         [
-            ("one.csv", "under-determined: 1 observations for 3 free parameters"),
+            ("one.csv", "under-determined: 1 distinct observations for 3 free parameters"),
+            # three rows, but two of them measure the same point
+            ("repeat.csv", "under-determined: 2 distinct observations for 3 free parameters"),
             ("bad.csv", "{path}:2: not UTF-8 text (invalid start byte)"),
             (".", "{path}: Is a directory"),
         ],
-        ids=["under-determined", "not-utf8", "directory"],
+        ids=["under-determined", "repeated-point", "not-utf8", "directory"],
     )
     def test_calibrate_from_error_names_its_recipe_line(self, tmp_path, capsys, source, reason):
         # a file the fit cannot use, read or decode: the error names the
         # recipe line that asked for the fit
         (tmp_path / "one.csv").write_text("circle, 2, 0, 1.1, 2, 0.4\n")
+        (tmp_path / "repeat.csv").write_text(REPEATED_POINT)
         (tmp_path / "bad.csv").write_bytes(b"circle, 2, 0, 1.1, 2, 0.4\n\xff")
         recipe = tmp_path / "calibrated.recipe"
         recipe.write_text(
@@ -911,13 +969,13 @@ class TestStderr:
 
 
 def _grid_units():
-    from zeropack.recipe import _FIELDS, _MATERIAL_FIELD_KINDS
+    from zeropack.recipe import _FIELDS, _MATERIAL_FIELDS
 
     unit = {"length": "um", "time": "min", "pressure": "MPa", "rate": "um/min"}
     paths = {path: kind for path, (kind, _) in _FIELDS.items()}
     # sio2_sputter fills both roles of FAST_RECIPE, asi neither
     for material in ("asi", "sio2_sputter"):
-        for prop, kind in _MATERIAL_FIELD_KINDS.items():
+        for prop, (kind, _) in _MATERIAL_FIELDS.items():
             paths[f"materials.{material}.{prop}"] = kind
     return {path: unit.get(kind, "") for path, kind in sorted(paths.items())}
 
@@ -986,17 +1044,23 @@ NEW_VALUES = {
     "materials.structural": "nitride_pecvd",
     "materials.sealing": "lto",
 }
+# a new value of each material property
+NEW_PROPS = {
+    path.rsplit(".", 1)[1]: value
+    for path, value in NEW_VALUES.items()
+    if path.startswith("materials.sio2_sputter.")
+}
 
 
 def settable_keys():
     """Every key a recipe can set: the numeric fields, each property of a
     material that fills a role by default, and the role keys."""
-    from zeropack.recipe import _FIELDS, _MATERIAL_FIELD_KINDS, _material_roles
+    from zeropack.recipe import _FIELDS, _MATERIAL_FIELDS, _material_roles
 
     roles = _material_roles({})
     return {
         *_FIELDS,
-        *(f"materials.{name}.{prop}" for name in roles.values() for prop in _MATERIAL_FIELD_KINDS),
+        *(f"materials.{name}.{prop}" for name in roles.values() for prop in _MATERIAL_FIELDS),
         *(f"materials.{role}" for role in roles),
     }
 
@@ -1038,6 +1102,25 @@ class TestEverySettingIsRead:
         assert after[0] in (0, 1, 3)
         assert after != before
 
+    @pytest.mark.parametrize(
+        "path",
+        sorted(f"materials.{name}.{prop}" for name in ("lto", "sio2_sputter") for prop in NEW_PROPS),
+    )
+    def test_split_roles_read_each_property_of_one_material(self, tmp_path, capsys, path):
+        # lto seals a sio2_sputter cap: the sealing role reads lto's
+        # sticking coefficient, the structural role the rest of sio2_sputter
+        name, prop = path.split(".")[1:]
+        split = reference_with("materials.sealing", "lto")
+        override = f"{name}.{prop} = {NEW_PROPS[prop]}"
+        edited = split.replace("[materials]\n", f"[materials]\n{override}\n")
+        before = simulate(tmp_path, capsys, split)
+        code, out = simulate(tmp_path, capsys, edited)
+        if name == ("lto" if prop == "sticking_coefficient" else "sio2_sputter"):
+            assert code in (0, 1, 3)
+            assert (code, out) != before
+        else:
+            assert (code, out) == (2, "")
+
     def test_removed_sweep_param_exits_two(self, fast_recipe_file, capsys):
         args = ["--param", "materials.asi.etch_rate", "--values", "0.1um/min,3um/min"]
         code = main(["sweep", str(fast_recipe_file), *args])
@@ -1045,3 +1128,40 @@ class TestEverySettingIsRead:
         assert code == 2
         assert_clean_exit(code, out, err)
         assert err.splitlines() == ["zeropack: input error: unknown material property 'etch_rate'"]
+
+
+class TestNegativeZeroReadsAsZero:
+    @pytest.mark.parametrize(
+        "path, value, rows",
+        [
+            ("molding.pressure", "-0MPa", ["molding_deflection,nm,0", "molding_stress,MPa,0"]),
+            ("clogging.chamber_pressure", "-0mbar", ["cavity_pressure,mbar,0"]),
+        ],
+        ids=["molding-pressure", "chamber-pressure"],
+    )
+    def test_report_prints_no_negative_zero(self, tmp_path, capsys, path, value, rows):
+        code, out = simulate(tmp_path, capsys, reference_with(path, value))
+        assert code in (0, 1)
+        assert set(rows) <= set(out.splitlines())
+
+    def test_probe_label_has_no_sign(self, tmp_path, capsys):
+        recipe = tmp_path / "probe.recipe"
+        recipe.write_text(reference_with("release.probe_time", "-0s"))
+        assert main(["simulate", str(recipe)]) == 0
+        assert "underetch at 0 min " in capsys.readouterr().out
+
+    def test_sweep_rows_of_either_zero_share_one_release(self, capsys, monkeypatch):
+        calls = []
+        time_to_release = release_mod.time_to_release
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return time_to_release(*args, **kwargs)
+
+        monkeypatch.setattr(release_mod, "time_to_release", counted)
+        path = "materials.sio2_sputter.selectivity_loss"
+        args = ["--param", path, "--values=-0um/min,0um/min", "--format", "tabular"]
+        assert main(["sweep", str(REFERENCE_RECIPE), *args]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[2] for row in rows] == ["0", "0"]
+        assert len(calls) == 1

@@ -7,14 +7,13 @@ from oracles import residue_quadrature
 from zeropack.clogging import (
     ClogParams,
     aperture_after,
-    clog_state,
     closure_rate,
     flux_attenuation,
     residue_estimate,
     thickness_to_clog,
 )
 from zeropack.errors import UncloggableError
-from zeropack.geometry import Hole, PackageStack, Rect
+from zeropack.geometry import Hole
 from zeropack.units import NM, UM
 
 PARAMS = ClogParams()
@@ -114,6 +113,8 @@ class TestApertureAfter:
 
     def test_clamps_at_zero(self, sio2):
         assert aperture_after(PRODUCTION, CAP, 9 * UM, sio2, PARAMS) == 0.0
+        assert aperture_after(PRODUCTION, CAP, 2.5 * UM, sio2, PARAMS) == 0.0
+        assert aperture_after(PRODUCTION, CAP, 0.5 * UM, sio2, PARAMS) > 0.0
 
     def test_negative_deposition_rejected(self, sio2):
         with pytest.raises(ValueError):
@@ -190,18 +191,6 @@ class TestResidue:
     def test_negative_deposition_rejected(self, sio2):
         with pytest.raises(ValueError):
             residue_estimate(PRODUCTION, CAP, -0.1, sio2, PARAMS)
-
-
-class TestClogState:
-    def test_sealed_flag_consistent(self, sio2):
-        stack = PackageStack(5 * UM, CAP, 2.5 * UM, Rect(30 * UM, 30 * UM))
-        state = clog_state(PRODUCTION, stack, 2.5 * UM, sio2, PARAMS)
-        assert state.sealed
-        assert state.remaining_aperture == 0.0
-        assert state.deposited == 2.5 * UM
-        open_state = clog_state(PRODUCTION, stack, 0.5 * UM, sio2, PARAMS)
-        assert not open_state.sealed
-        assert open_state.remaining_aperture > 0.0
 
 
 def test_params_validation():

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import math
 
 import pytest
 
@@ -18,7 +19,7 @@ from zeropack.pipeline import (
     set_param,
     sweep,
 )
-from zeropack.recipe import _FIELDS, parse_recipe
+from zeropack.recipe import _FIELDS, _MATERIAL_FIELDS, parse_recipe
 from zeropack.release import time_to_release, underetch
 from zeropack.units import GPA, MBAR, MINUTE, MPA, NM, UM
 
@@ -54,8 +55,8 @@ SWEEP_VALUES = {
     "molding.grid_n": [16, 32],
     "holes.diameter": [2 * UM, 2.5 * UM],
     "holes[0].diameter": [2 * UM, 2.5 * UM],
-    # the structural film; a zero loss rate of either sign
-    "materials.sio2_sputter.selectivity_loss": [0.0, -0.0, 1 * NM / MINUTE],
+    # the structural film
+    "materials.sio2_sputter.selectivity_loss": [0.0, 0.5 * NM / MINUTE, 1 * NM / MINUTE],
     # the rest of the structural film, which the release does not read;
     # the stress check fails at the lower failure stress
     "materials.sio2_sputter.youngs_modulus": [60 * GPA, 70 * GPA, 80 * GPA],
@@ -273,6 +274,30 @@ class TestSetParam:
         with pytest.raises(RecipeError):
             set_param(fast_recipe, "stack.cap_thickness", -1 * UM)
 
+    @pytest.mark.parametrize(
+        "path",
+        [
+            *(path for path, (kind, _) in _FIELDS.items() if kind != "count"),
+            *(f"materials.sio2_sputter.{prop}" for prop in _MATERIAL_FIELDS),
+            "holes.diameter",
+            "holes[0].diameter",
+        ],
+    )
+    def test_negative_zero_is_rejected_or_stored_as_zero(self, fast_recipe, path):
+        # a stored -0.0 would print as -0 in a report
+        try:
+            r = set_param(fast_recipe, path, -0.0)
+        except RecipeError:
+            return
+        if path.startswith("materials."):
+            _, name, prop = path.split(".")
+            stored = getattr(r.materials[name], prop)
+        else:
+            stored = r
+            for attr in _FIELDS[path][1].split("."):
+                stored = getattr(stored, attr)
+        assert math.copysign(1.0, stored) == 1.0
+
 
 class TestSweep:
     def test_single_value_equals_run_recipe(self, fast_recipe):
@@ -330,7 +355,8 @@ class TestSweep:
             ("materials.sio2_sputter.youngs_modulus", [60 * GPA, 70 * GPA, 80 * GPA], 1),
             ("materials.sio2_sputter.poisson_ratio", [0.17, 0.2, 0.25], 1),
             ("materials.sio2_sputter.failure_stress", [1 * MPA, 1 * GPA, 2 * GPA], 1),
-            ("materials.sio2_sputter.selectivity_loss", [0.0, -0.0, 0.0], 2),
+            # set_param stores -0.0 as 0.0, so the rows share one release
+            ("materials.sio2_sputter.selectivity_loss", [0.0, -0.0, 0.0], 1),
         ],
         ids=[
             "clog_deposition",

@@ -8,7 +8,7 @@ from zeropack.errors import RecipeError
 from zeropack.pipeline import param_kind, set_param
 from zeropack.recipe import (
     _FIELDS,
-    _MATERIAL_FIELD_KINDS,
+    _MATERIAL_FIELDS,
     DEFAULT_CHAMBER_PRESSURE,
     DEFAULT_MOLDING_PRESSURE,
     load_recipe,
@@ -455,7 +455,7 @@ def swept(path, token):
 class TestRecipeLinesAndSweepsAgree:
     def test_table_covers_every_field(self):
         assert set(FIELD_VALUES) == set(_FIELDS)
-        assert {path.rsplit(".", 1)[1] for path in MATERIAL_VALUES} == set(_MATERIAL_FIELD_KINDS)
+        assert {path.rsplit(".", 1)[1] for path in MATERIAL_VALUES} == set(_MATERIAL_FIELDS)
 
     @pytest.mark.parametrize("path", sorted(ALL_VALUES))
     def test_recipe_line_equals_set_param(self, path):
