@@ -139,7 +139,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_check_molding(args) -> int:
-    plate, solution, checks = _molding(load_recipe(args.recipe))
+    solution, checks = _molding(load_recipe(args.recipe))
     passed = all(checks.values())
     if args.dump_field is not None:
         args.dump_field.write_text(dump_deflection(solution), encoding="utf-8")
@@ -154,7 +154,7 @@ def _cmd_check_molding(args) -> int:
     else:
         verdict = {True: "pass", False: "FAIL"}
         text = (
-            f"cap thickness      {plate.thickness / UM:10.4f} um\n"
+            f"cap thickness      {solution.spec.thickness / UM:10.4f} um\n"
             f"molding deflection {solution.w_max / NM:10.3f} nm"
             f" ({verdict[checks['deflection']]})\n"
             f"molding stress     {solution.sigma_max / MPA:10.3f} MPa"

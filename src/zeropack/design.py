@@ -6,7 +6,9 @@ equal deflection or equal stress margin. At fixed sides, load and
 material the plate scales exactly with thickness: deflection is ``q/D``
 times the unit solution with ``D ~ t^3``, and stress is
 ``6 M / t^2`` with ``M`` independent of ``D``, so ``w_max ~ t^-3`` and
-``sigma_max ~ t^-2``. One solve thus gives both at every thickness.
+``sigma_max ~ t^-2``. One solve thus gives both at every thickness, and
+the conversion between materials needs none: the unit solution and ``M``
+are the same for both, so only ``D`` and the failure stress differ.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import DesignError
 from .geometry import Material
-from .mechanics import PlateSpec, solve_plate
+from .mechanics import PlateSpec, flexural_rigidity, solve_plate
 from .units import NM, UM
 
 THICKNESS_STEP = 10.0 * NM
@@ -135,29 +137,26 @@ def equivalent_thickness(
 ) -> float:
     """Thickness of ``material_b`` matching ``material_a`` at ``thickness_a``.
 
-    ``match="deflection"`` equates peak deflection; ``match="stress"``
-    equates the stress safety margin (peak stress over failure stress).
-    Both materials are solved at ``thickness_a`` and the ratio of the
-    two metrics is scaled by its exact thickness law (cube root for
-    deflection, square root for stress), so the deflection match equals
-    t_b = t_a * (D_a/D_b)^(1/3) for the rigidities at equal thickness.
-    The result must lie within the constraint thickness bounds.
+    ``match="deflection"`` equates peak deflection, ``w_max = v q / D``:
+    ``t_b = t_a (D_a / D_b)^(1/3)`` for the rigidities at equal
+    thickness. ``match="stress"`` equates the stress safety margin (peak
+    stress over failure stress); the peak stress ``6 q M / t^2`` has no
+    elastic constant in it, so ``t_b = t_a (f_a / f_b)^(1/2)`` for the
+    failure stresses. Neither solves a plate. The result must lie within
+    the constraint thickness bounds.
     """
     if not thickness_a > 0.0:
         raise ValueError("thickness_a must be > 0")
     if match not in ("deflection", "stress"):
         raise ValueError("match must be 'deflection' or 'stress'")
     c = constraints
-
-    (w_a, sigma_a), (w_b, sigma_b) = (
-        _evaluate(m, thickness_a, c) for m in (material_a, material_b)
-    )
     if match == "deflection":
-        t_b = thickness_a * (w_b / w_a) ** (1.0 / 3.0)
+        # the ratio is the same at every equal thickness; at 1 m no t^3
+        # overflows or underflows, whatever thickness_a is
+        ratio = flexural_rigidity(material_a, 1.0) / flexural_rigidity(material_b, 1.0)
+        t_b = thickness_a * ratio ** (1.0 / 3.0)
     else:
-        margin_a = sigma_a / material_a.failure_stress
-        margin_b = sigma_b / material_b.failure_stress
-        t_b = thickness_a * (margin_b / margin_a) ** 0.5
+        t_b = thickness_a * (material_a.failure_stress / material_b.failure_stress) ** 0.5
     if not c.thickness_min <= t_b <= c.thickness_max:
         raise DesignError(
             "equivalent thickness falls outside "

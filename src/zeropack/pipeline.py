@@ -57,8 +57,8 @@ def _molding(recipe: Recipe):
     """Molding stage: the sealed cap (structural film plus the clog
     deposition) under the molding load, checked against its limits.
 
-    Returns the plate, its solution and the ``deflection``/``stress``
-    checks.
+    Returns the plate solution, whose ``spec`` is the plate, and the
+    ``deflection``/``stress`` checks.
     """
     stack = recipe.stack
     structural = recipe.material("structural")
@@ -72,7 +72,7 @@ def _molding(recipe: Recipe):
     with located("molding"):
         solution = solve_plate(plate, recipe.molding.grid_n)
     limit = recipe.molding.max_deflection
-    return plate, solution, {
+    return solution, {
         "deflection": limit is None or solution.w_max <= limit,
         "stress": solution.sigma_max
         <= structural.failure_stress / recipe.molding.safety_factor,
@@ -128,7 +128,7 @@ def run_recipe(recipe: Recipe) -> ProcessReport:
         residues = [clog_mod.residue_estimate(h, cap, deposited, sealing, clog) for h in holes]
     governing = max(clog_thickness)
 
-    _, solution, molding_checks = _molding(recipe)
+    solution, molding_checks = _molding(recipe)
     checks = {"sealed": deposited >= governing, **molding_checks}
     report = ProcessReport(
         release_time=release_time,

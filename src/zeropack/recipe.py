@@ -437,13 +437,9 @@ def _calibrated_etch(source: _Entry, release: dict[str, _Entry], base_dir: Path)
             f"line {source.lineno}: calibrate_from cannot be combined with "
             "explicit etch parameters"
         )
-    path = Path(source.value)
-    if not path.is_absolute():
-        path = base_dir / path
-    if not path.exists():
-        raise RecipeError(f"line {source.lineno}: calibration file {path} not found")
     with located(f"line {source.lineno}: calibrate_from"):
-        return calibrate_etch(load_observations(path)).params
+        # an absolute path replaces base_dir
+        return calibrate_etch(load_observations(base_dir / source.value)).params
 
 
 def parse_recipe(text: str, *, base_dir: "Path | str | None" = None) -> Recipe:

@@ -373,52 +373,43 @@ def _release_estimate(footprint, holes, params, feed, h_s, pitch, max_time) -> f
 
 def calibrate_etch(
     observations: "list[EtchObservation] | tuple[EtchObservation, ...]",
-    *,
-    fixed: dict[str, float] | None = None,
 ) -> CalibrationResult:
     """Least-squares fit of the etch constants to measured underetch data.
 
-    ``fixed`` pins named parameters (``intrinsic_rate``,
-    ``aperture_factor``, ``channel_factor``) at given values; the rest
-    are fitted. Parameters are released one at a time, each stage seeded
-    from the previous optimum, so the residual never increases as the
-    model grows.
+    The constants of :data:`_PARAM_ORDER` are released one at a time:
+    stage ``k`` fits the first ``k`` of them, seeded from the previous
+    stage's optimum with the rest held there (the transport factors start
+    at 0), so the residual never increases as the model grows.
 
     Each stage is the reflective trust-region method of Branch, Coleman
     & Li (SIAM J. Sci. Comput. 21, 1999) with lower bounds, as scipy's
     ``least_squares(method="trf", x_scale="jac")`` runs it, ported to
-    numpy in :mod:`zeropack._trf`. It stops where scipy stops rather than
-    at the least-squares minimum, because :data:`DEFAULT_ETCH_PARAMS` is
-    that stopping point: its forward-difference Jacobian steps by
-    ``sqrt(eps)`` in SI units, about half the etch rate, and that secant
-    holds the fit 0.09-0.34 % from the minimum (1.751266 um/min,
-    21.01548 um, 0.320425 on the bundled data), more than the six digits
-    the constants are frozen to.
+    numpy in :mod:`zeropack._trf`. Every point it evaluates lies at or
+    above the bounds, so the etch rate stays positive. It stops where
+    scipy stops rather than at the least-squares minimum, because
+    :data:`DEFAULT_ETCH_PARAMS` is that stopping point: its
+    forward-difference Jacobian steps by ``sqrt(eps)`` in SI units, about
+    half the etch rate, and that secant holds the fit 0.09-0.34 % from
+    the minimum (1.751266 um/min, 21.01548 um, 0.320425 on the bundled
+    data), more than the six digits the constants are frozen to.
     """
     obs = list(observations)
-    fixed = dict(fixed or {})
-    for name in fixed:
-        if name not in _PARAM_ORDER:
-            raise CalibrationError(f"unknown parameter {name!r}")
-    free = [n for n in _PARAM_ORDER if n not in fixed]
-    if not free:
-        raise CalibrationError("at least one parameter must be left free")
     # each residual is (underetch(o.hole, stack, p, o.time) - o.underetch)
     # / UM, with the observation's floats and hole area read once per fit
     rows = [(o.sacrificial_thickness, hole_area(o.hole), o.time, o.underetch) for o in obs]
     # repeated measurements of one (film, hole area, time) point fix one
     # value of the front, so only distinct points count
     points = len({row[:3] for row in rows})
-    if points < len(free):
+    if points < len(_PARAM_ORDER):
         raise CalibrationError(
-            f"under-determined: {points} distinct observations for {len(free)} free parameters"
+            f"under-determined: {points} distinct observations for "
+            f"{len(_PARAM_ORDER)} free parameters"
         )
     if not any(o.underetch > 0.0 for o in obs):
         raise CalibrationError("every underetch is 0, so the data cannot fix the etch constants")
-    if len(free) == 3:
-        areas = {round(hole_area(o.hole) / (1e-9 * UM**2)) for o in obs}
-        if len(areas) < 2:
-            raise CalibrationError("observations must span at least 2 hole sizes")
+    areas = {round(hole_area(o.hole) / (1e-9 * UM**2)) for o in obs}
+    if len(areas) < 2:
+        raise CalibrationError("observations must span at least 2 hole sizes")
 
     rate_floor = 1e-15
     seed_rate = max(max(o.underetch / o.time for o in obs), rate_floor)
@@ -427,13 +418,11 @@ def calibrate_etch(
         "aperture_factor": 0.0,
         "channel_factor": 0.0,
     }
-    current.update(fixed)
 
     def residuals(x, subset):
         trial = dict(current)
         # Python floats: _front's arithmetic on numpy scalars is slower
         trial.update(zip(subset, x.tolist()))
-        trial["intrinsic_rate"] = max(trial["intrinsic_rate"], rate_floor)
         p = EtchParams(**trial)
         return np.array(
             [(_front(p, _feed(p, h_s, area), h_s, t) - u) / UM for h_s, area, t, u in rows]
@@ -443,10 +432,10 @@ def calibrate_etch(
     # so importing the package (and every simulate) never loads it
     from ._trf import least_squares
 
-    for k in range(1, len(free) + 1):
-        subset = free[:k]
-        x0 = [max(current[n], rate_floor if n == "intrinsic_rate" else 0.0) for n in subset]
-        lower = [rate_floor if n == "intrinsic_rate" else 0.0 for n in subset]
+    for k in range(1, len(_PARAM_ORDER) + 1):
+        subset = _PARAM_ORDER[:k]
+        x0 = [current[n] for n in subset]
+        lower = [rate_floor, 0.0, 0.0][:k]
         x, f = least_squares(partial(residuals, subset=subset), x0, lower)
         current.update(zip(subset, x.tolist()))
 

@@ -834,8 +834,9 @@ class TestHostileInput:
             ("repeat.csv", "under-determined: 2 distinct observations for 3 free parameters"),
             ("bad.csv", "{path}:2: not UTF-8 text (invalid start byte)"),
             (".", "{path}: Is a directory"),
+            ("nowhere.csv", "{path}: No such file or directory"),
         ],
-        ids=["under-determined", "repeated-point", "not-utf8", "directory"],
+        ids=["under-determined", "repeated-point", "not-utf8", "directory", "missing"],
     )
     def test_calibrate_from_error_names_its_recipe_line(self, tmp_path, capsys, source, reason):
         # a file the fit cannot use, read or decode: the error names the

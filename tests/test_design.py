@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -264,10 +265,27 @@ def test_warm_geometry_solve_counts(lto, nitride, monkeypatch):
         assert len(calls) <= 3
     calls.clear()
     equivalent_thickness(lto, 4.5 * UM, nitride, c)
-    assert len(calls) == 2
-    calls.clear()
     equivalent_thickness(lto, 4.5 * UM, nitride, c, match="stress")
-    assert len(calls) == 2
+    assert calls == []
+
+
+@pytest.mark.parametrize("match", ["deflection", "stress"])
+def test_equivalent_thickness_solves_no_plate(lto, nitride, monkeypatch, match):
+    # both matches are closed forms of the materials' constants, so even a
+    # thickness past a fifth of the span builds no plate and warns of none
+    def unexpected(*args):
+        raise AssertionError("equivalent_thickness solved a plate")
+
+    monkeypatch.setattr(design, "solve_plate", unexpected)
+    monkeypatch.setattr(mechanics, "solve_plate", unexpected)
+    c = molding_constraints(thickness_max=20 * UM)
+    thick = 8 * UM
+    assert thick > c.side_a / 5.0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        t = equivalent_thickness(lto, thick, nitride, c, match=match)
+    assert caught == []
+    assert c.thickness_min < t < c.thickness_max
 
 
 def test_one_peak_read_per_geometry(lto, nitride):

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import REPO, SRC
 from zeropack.clogging import ClogParams
-from zeropack.errors import RecipeError
+from zeropack.errors import DataFileError, RecipeError
 from zeropack.pipeline import param_kind, set_param
 from zeropack.recipe import (
     _FIELDS,
@@ -318,9 +318,15 @@ class TestReleaseSection:
             parse_recipe(text, base_dir=tmp_path)
 
     def test_calibrate_from_missing_file(self, tmp_path):
+        # the data file reader names the path and the reason, after the
+        # recipe line that asked for it
         text = MINIMAL + "\n[release]\ncalibrate_from = nowhere.csv\n"
-        with pytest.raises(RecipeError, match="not found"):
+        missing = tmp_path / "nowhere.csv"
+        with pytest.raises(DataFileError) as info:
             parse_recipe(text, base_dir=tmp_path)
+        assert str(info.value) == (
+            f"line 11: calibrate_from: {missing}: No such file or directory"
+        )
 
 
 class TestCloggingAndMolding:
