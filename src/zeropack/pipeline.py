@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from . import clogging as clog_mod
 from . import release as release_mod
 from .errors import ModelError, located
+from .geometry import hole_min_dimension
 from .mechanics import PlateSpec, solve_plate
 from .recipe import Recipe, _field_kind, _set_field
 from .units import MBAR, MINUTE, MPA, NM, UM
@@ -119,13 +120,25 @@ def run_recipe(recipe: Recipe) -> ProcessReport:
 
     release_time, structural_loss, probe_u = _release(recipe)
 
+    # the clogging model reads a hole through its minimum dimension only,
+    # so each size runs once, in order of first appearance: the first
+    # hole to fail a stage still names the error
+    sizes = [hole_min_dimension(h) for h in holes]
+    first = {a: holes[sizes.index(a)] for a in dict.fromkeys(sizes)}
+    max_deposition = recipe.max_deposition
     with located("clogging"):
-        clog_thickness = tuple(
-            clog_mod.thickness_to_clog(h, cap, sealing, clog, max_deposition=recipe.max_deposition)
-            for h in holes
-        )
-        remaining = tuple(clog_mod.aperture_after(h, cap, deposited, sealing, clog) for h in holes)
-        residues = [clog_mod.residue_estimate(h, cap, deposited, sealing, clog) for h in holes]
+        clog_by = {
+            a: clog_mod.thickness_to_clog(h, cap, sealing, clog, max_deposition=max_deposition)
+            for a, h in first.items()
+        }
+        open_by = {
+            a: clog_mod.aperture_after(h, cap, deposited, sealing, clog) for a, h in first.items()
+        }
+        residue_by = {
+            a: clog_mod.residue_estimate(h, cap, deposited, sealing, clog) for a, h in first.items()
+        }
+    clog_thickness = tuple(clog_by[a] for a in sizes)
+    residues = [residue_by[a] for a in sizes]
     governing = max(clog_thickness)
 
     solution, molding_checks = _molding(recipe)
@@ -135,7 +148,7 @@ def run_recipe(recipe: Recipe) -> ProcessReport:
         structural_loss=structural_loss,
         clog_thickness=clog_thickness,
         governing_clog=governing,
-        remaining_aperture=remaining,
+        remaining_aperture=tuple(open_by[a] for a in sizes),
         residue_thickness=tuple(r for r, _ in residues),
         residue_footprint=tuple(f for _, f in residues),
         cavity_pressure=recipe.chamber_pressure,

@@ -51,12 +51,11 @@ from .geometry import (
     _raster,
     default_coverage_pitch,
     hole_area,
-    release_coverage,
+    release_coverage,  # noqa: F401 - perfbench's tracer wraps release.release_coverage
 )
 from .units import MINUTE, UM
 
 DEFAULT_TIME_CAP = 120.0 * MINUTE
-TIME_TOLERANCE = 1e-3 * MINUTE
 
 _PARAM_ORDER = ("intrinsic_rate", "aperture_factor", "channel_factor")
 
@@ -187,23 +186,14 @@ def time_to_release(
     max_time: float = DEFAULT_TIME_CAP,
     grid_pitch: float | None = None,
 ) -> tuple[float, float]:
-    """Smallest time at which the etch fronts cover the whole footprint.
+    """Time at which the etch fronts cover the whole footprint.
 
-    Returns ``(t_release, structural_loss)``. Found by bisection on the
-    monotone coverage; the left endpoint of the final bracket is
-    returned, so the result underestimates the true release time by at
-    most ``TIME_TOLERANCE``. Raises :class:`ReleaseTooSlowError` if the layout
-    has not released by ``max_time``.
-
-    The bisection runs on the arrival-time estimate of
-    :func:`_release_estimate` and then asks the coverage raster at the two
-    ends of its final bracket. Coverage is monotone in time, so a covered
-    time decides every later one and an uncovered time every earlier one.
-    When only one side is decided, the raster is asked at steps doubling
-    outward from it until the other side is too. The search is then
-    replayed on the raster, asking it only about times still undecided:
-    when both answers agree that is none, and the result is always the
-    raster search's own.
+    Returns ``(t_release, structural_loss)``: the latest cell arrival
+    time on the coverage raster (:func:`_release_estimate`), read off in
+    closed form with no search, and the structural film's selectivity
+    loss over that time. ``max_time`` is only a cap: a release time beyond
+    it (inf included) raises :class:`ReleaseTooSlowError`, and any other
+    is returned unchanged whatever the cap.
     """
     if not holes:
         raise ValueError("at least one hole required")
@@ -212,77 +202,12 @@ def time_to_release(
     pitch = grid_pitch if grid_pitch is not None else default_coverage_pitch(holes)
     h_s = stack.sacrificial_thickness
     feed = [_feed(params, h_s, hole_area(h)) for h in holes]
-
-    def covered(t: float) -> bool:
-        fronts = [_front(params, q, h_s, t) for q in feed]
-        return release_coverage(footprint, holes, fronts, pitch) >= 1.0
-
-    true_at, false_at = math.inf, -math.inf
-
-    def decided(t: float) -> bool:
-        nonlocal true_at, false_at
-        if false_at < t < true_at:
-            if covered(t):
-                true_at = t
-            else:
-                false_at = t
-        return t >= true_at
-
-    estimate = _release_estimate(footprint, holes, params, feed, h_s, pitch, max_time)
-    lo, hi = _search(lambda t: t >= estimate, max_time)
-    try:
-        for t in (lo, hi):
-            if t is not None:
-                decided(t)
-        # gallop outward from the one decided side until the other is decided
-        if true_at == math.inf and false_at > -math.inf:
-            step = max(TIME_TOLERANCE, math.ulp(false_at))
-            while true_at == math.inf and false_at < max_time:
-                decided(min(false_at + step, max_time))
-                step *= 2.0
-        elif false_at == -math.inf and true_at < math.inf:
-            step = max(TIME_TOLERANCE, math.ulp(true_at))
-            while false_at == -math.inf and true_at > 0.0:
-                decided(max(true_at - step, 0.0))
-                step *= 2.0
-    except InputError:  # the front overflows where the raster search may not go
-        pass
-    lo, hi = _search(decided, max_time)
-    if hi is None:
+    t = _release_estimate(footprint, holes, params, feed, h_s, pitch, max_time)
+    if t > max_time:
         raise ReleaseTooSlowError(
             f"footprint not fully released after {max_time / MINUTE:g} min"
         )
-    if lo is None:
-        return 0.0, 0.0
-    return lo, structural.selectivity_loss * lo
-
-
-def _search(covered, max_time: float) -> tuple[float | None, float | None]:
-    """Final bracket ``(lo, hi)`` of the first time ``covered`` holds:
-    ``covered(lo)`` is false and ``covered(hi)`` true. ``lo`` is None when
-    ``covered(0.0)``, and ``hi`` None when not ``covered(max_time)``."""
-    if covered(0.0):
-        return None, 0.0
-    # bracket the release time by doubling before bisecting
-    lo = 0.0
-    t = min(1.0 * MINUTE, max_time)
-    while not covered(t):
-        lo = t
-        if t >= max_time:
-            return lo, None
-        t = min(2.0 * t, max_time)
-    hi = t
-    while hi - lo > TIME_TOLERANCE:
-        mid = 0.5 * (lo + hi)
-        # past about 2.7e14 s the bracket can be two adjacent floats
-        # wider than the tolerance, and the midpoint rounds onto one
-        if not lo < mid < hi:
-            break
-        if covered(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
+    return t, structural.selectivity_loss * t
 
 
 def _release_estimate(footprint, holes, params, feed, h_s, pitch, max_time) -> float:
@@ -304,9 +229,15 @@ def _release_estimate(footprint, holes, params, feed, h_s, pitch, max_time) -> f
     stays beyond it. ``t_up`` doubles from 1 min while some cell lies
     outside every window, then moves once to the latest ``hi_c`` if that
     is later, and never passes ``max_time``; windows that span the
-    raster reach every cell. Rounding between ``_arrival`` and
-    ``_front`` can move the result by a few ulps, which the caller's
-    raster queries settle.
+    raster reach every cell.
+
+    Returns the latest cell time as computed from the rounded
+    ``_arrival`` times when it is at most ``max_time``, and otherwise some
+    time past ``max_time`` (inf when a cell lies outside every window
+    there). ``release_coverage`` places the fronts by ``_front``, the inverse map,
+    so the first float at which it reads 1 can differ from this result in
+    the last digits: on the reference recipe it lies 1049 ulps (1.6e-13
+    relative) below it.
     """
     grid = _raster(footprint, holes, pitch)
     shape = (grid.ys.size, grid.xs.size)

@@ -1,3 +1,4 @@
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -18,6 +19,17 @@ settings.load_profile("default")
 
 REPO = Path(__file__).resolve().parents[1]
 REFERENCE_RECIPE = REPO / "recipes" / "reference.recipe"
+
+
+def load_perfbench(name):
+    """The module ``perfbench/<name>.py``, loaded from its path so that
+    perfbench/ never joins sys.path."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", REPO / "perfbench" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

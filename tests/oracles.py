@@ -8,9 +8,10 @@ node by node with mirror ghosts (the program solves in a sine basis),
 the stress oracle differences the whole field (the program reads the
 moment from the clamped edges only), the residue oracle is brute
 trapezoid quadrature, the coverage oracle rasterises every hole at
-every point, and the release-time oracle bisects on that dense coverage
-at every step (the program bisects on an arrival-time estimate and asks
-its windowed raster only at the end).
+every point, and the release-time oracle takes the latest arrival time
+of every cell from every hole and every subsample point (the program
+evaluates each hole on a window and subsamples only the cells that can
+hold the latest time, latest first).
 
 ``closed_form_underetch`` is the exception: the program itself evaluates
 the quadratic first integral of the front law, so that oracle restates
@@ -25,7 +26,6 @@ from numpy.polynomial import Polynomial
 from scipy import sparse
 
 from zeropack.geometry import hole_area
-from zeropack.release import TIME_TOLERANCE, underetch
 from zeropack.units import MINUTE
 
 
@@ -207,6 +207,31 @@ def _dilated_distance(hole, cx, cy, reach, x, y):
     return outside + inside - reach
 
 
+SUBSAMPLE = 16
+
+
+def _dense_raster(footprint, holes, pitch):
+    """The documented coverage raster: cell-centre grids ``gx``, ``gy``
+    measured from the footprint corner, the hole centres in those
+    coordinates, the cell half-diagonal, the subsample ramp width, and a
+    function giving the subsample points of listed cell centres."""
+    nx = max(1, math.ceil(footprint.width / pitch))
+    ny = max(1, math.ceil(footprint.length / pitch))
+    px = footprint.width / nx
+    py = footprint.length / ny
+    x0 = footprint.center[0] - 0.5 * footprint.width
+    y0 = footprint.center[1] - 0.5 * footprint.length
+    gx, gy = np.meshgrid((np.arange(nx) + 0.5) * px, (np.arange(ny) + 0.5) * py)
+    centres = [(h.center[0] - x0, h.center[1] - y0) for h in holes]
+    offsets = (np.arange(SUBSAMPLE) + 0.5) / SUBSAMPLE - 0.5
+    ox, oy = (o.ravel() for o in np.meshgrid(offsets, offsets))
+
+    def points(x, y):
+        return x[:, None] + ox * px, y[:, None] + oy * py
+
+    return gx, gy, centres, 0.5 * math.hypot(px, py), 0.5 * (px + py) / SUBSAMPLE, points
+
+
 def dense_release_coverage(footprint, holes, underetch, pitch):
     """Release coverage by brute rasterisation: every hole is tested at
     every cell centre, and every hole at every subsample point of each
@@ -216,35 +241,22 @@ def dense_release_coverage(footprint, holes, underetch, pitch):
     windowing or early exit, so the two agree bit for bit."""
     if not holes:
         return 0.0
-    nx = max(1, math.ceil(footprint.width / pitch))
-    ny = max(1, math.ceil(footprint.length / pitch))
-    px = footprint.width / nx
-    py = footprint.length / ny
-    x0 = footprint.center[0] - 0.5 * footprint.width
-    y0 = footprint.center[1] - 0.5 * footprint.length
-    gx, gy = np.meshgrid((np.arange(nx) + 0.5) * px, (np.arange(ny) + 0.5) * py)
+    gx, gy, centres, half_diag, ramp, points = _dense_raster(footprint, holes, pitch)
 
     def union_distance(x, y):
         return np.min(
             [
-                _dilated_distance(h, h.center[0] - x0, h.center[1] - y0, u, x, y)
-                for h, u in zip(holes, underetch)
+                _dilated_distance(h, cx, cy, u, x, y)
+                for h, (cx, cy), u in zip(holes, centres, underetch)
             ],
             axis=0,
         )
 
     dist = union_distance(gx, gy)
-    half_diag = 0.5 * math.hypot(px, py)
     cells = np.where(dist <= -half_diag, 1.0, 0.0)
     edge = np.abs(dist) < half_diag
     if np.any(edge):
-        subsample = 16
-        offsets = (np.arange(subsample) + 0.5) / subsample - 0.5
-        ox, oy = (o.ravel() for o in np.meshgrid(offsets, offsets))
-        sx = gx[edge][:, None] + ox * px
-        sy = gy[edge][:, None] + oy * py
-        ramp = 0.5 * (px + py) / subsample
-        weight = np.clip(0.5 - union_distance(sx, sy) / ramp, 0.0, 1.0)
+        weight = np.clip(0.5 - union_distance(*points(gx[edge], gy[edge])) / ramp, 0.0, 1.0)
         cells[edge] = weight.mean(axis=1)
     return float(cells.mean())
 
@@ -272,30 +284,36 @@ def scan_release_time(footprint, holes, stack, params, pitch, step=0.01 * MINUTE
     raise AssertionError("release scan exceeded cap")
 
 
-def bisect_release_time(footprint, holes, stack, params, pitch, max_time):
-    """Left end of the final bracket of the release search, or None when
-    the layout has not released by ``max_time``: doubling from 1 min, then
-    halving to ``TIME_TOLERANCE`` (or to two adjacent floats), with every
-    step asking the dense coverage oracle. The fronts come from the
-    program's ``underetch``, checked against Euler integration elsewhere,
-    so that both searches see the same fronts bit for bit."""
+def dense_release_time(footprint, holes, stack, params, pitch):
+    """Latest cell arrival time on the raster of ``dense_release_coverage``,
+    from every hole at every cell and every subsample point, with no
+    windows and no ordering.
 
-    def covered(t):
-        u = [underetch(h, stack, params, t) for h in holes]
-        return dense_release_coverage(footprint, holes, u, pitch) >= 1.0
+    A front from the hole edge reaches distance ``D`` at
+    ``T(D) = D (p + b D / 2) / R0`` (0 for ``D <= 0``), with ``p = 1 + A_f
+    h_s / A_open`` and ``b = C_f / h_s``. A cell at centre distance
+    ``D_i`` from hole ``i`` counts 1 from ``min_i T_i(D_i + half_diag)``,
+    and from the time each of its subsample points ``s`` lies half a ramp
+    inside a front, ``max_s min_i T_i(D_s,i + ramp / 2)``, whichever comes
+    first. The footprint releases at the latest cell time; inf when a
+    time overflows."""
+    gx, gy, centres, half_diag, ramp, points = _dense_raster(footprint, holes, pitch)
+    cx_all, cy_all = gx.ravel(), gy.ravel()
+    sx, sy = points(cx_all, cy_all)
+    h_s = stack.sacrificial_thickness
+    b = params.channel_factor / h_s
 
-    if covered(0.0):
-        return 0.0
-    lo, t = 0.0, min(MINUTE, max_time)
-    while not covered(t):
-        if t >= max_time:
-            return None
-        lo, t = t, min(2.0 * t, max_time)
-    hi = t
-    while hi - lo > TIME_TOLERANCE and lo < 0.5 * (lo + hi) < hi:
-        mid = 0.5 * (lo + hi)
-        if covered(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo
+    def arrival(p, reach):
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = reach * (p + 0.5 * b * reach) / params.intrinsic_rate
+        return np.where(reach > 0.0, t, 0.0)
+
+    centre = np.full(cx_all.size, np.inf)
+    subsampled = np.full(sx.shape, np.inf)
+    for h, (cx, cy) in zip(holes, centres):
+        p = 1.0 + params.aperture_factor * h_s / hole_area(h)
+        d = _dilated_distance(h, cx, cy, 0.0, cx_all, cy_all)
+        centre = np.minimum(centre, arrival(p, d + half_diag))
+        d = _dilated_distance(h, cx, cy, 0.0, sx, sy)
+        subsampled = np.minimum(subsampled, arrival(p, d + 0.5 * ramp))
+    return float(np.minimum(centre, subsampled.max(axis=1)).max())

@@ -6,24 +6,12 @@ or removed function would break ``perfbench/run.py`` only once it runs,
 so every name it uses must resolve."""
 
 import importlib
-import importlib.util
 
 import pytest
 
-from conftest import REPO
+from conftest import load_perfbench
 
-
-def _load_tracer():
-    # loaded from its path so that perfbench/ never joins sys.path
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", REPO / "perfbench" / "tracer.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-TARGETS = _load_tracer().TARGETS
+TARGETS = load_perfbench("tracer").TARGETS
 
 
 @pytest.mark.parametrize("span, module, attr", TARGETS)

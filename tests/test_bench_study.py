@@ -6,7 +6,6 @@ judges that result against closed forms that do not import zeropack.
 Run here in a fresh interpreter, as the harness runs it, so a change that
 makes a design or calibration call fail the gate fails tier 1 too."""
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -14,21 +13,11 @@ import sys
 
 import pytest
 
-from conftest import REPO
+from conftest import REPO, load_perfbench
 
 # 8 cavities x 3 minimum caps, 8 equivalent thicknesses, 1 full fit and
 # 8 leave-one-out fits
 STUDY_CALLS = 8 * 3 + 8 + 1 + 8
-
-
-def _load_checks():
-    # loaded from its path so that perfbench/ never joins sys.path
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_checks", REPO / "perfbench" / "checks.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("seed", [1, 401])
@@ -43,6 +32,6 @@ def test_design_study_passes_the_harness_gate(seed):
         timeout=120,
     )
     assert run.returncode == 0, run.stderr
-    verdicts = _load_checks().check_study(json.loads(run.stdout))
+    verdicts = load_perfbench("checks").check_study(json.loads(run.stdout))
     assert len(verdicts) == STUDY_CALLS
     assert [v for v in verdicts if v is not None] == []

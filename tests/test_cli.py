@@ -11,11 +11,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import FAST_RECIPE, REFERENCE_RECIPE, REPO, SRC
+from conftest import FAST_RECIPE, REFERENCE_RECIPE, REPO, SRC, load_perfbench
 from zeropack import cli, mechanics
 from zeropack import release as release_mod
 from zeropack.cli import main
 from zeropack.pipeline import parse_tabular_report
+
+
+# The seed's tables print the release time of a bisection that stopped up
+# to 0.06 s short of the raster's release time; every other cell is as
+# printed today, and the benchmark gate takes both.
+SEED_RELEASE_TIME, RELEASE_TIME = "96.4502", "96.4511"
+
+
+def assert_seed_table(out: str, name: str) -> None:
+    """``out`` is the seed's ``perfbench/expected/<name>.csv`` with the
+    release time and cap loss read off the arrival times, and passes the
+    benchmark's own check against that file."""
+    expected = (REPO / "perfbench" / "expected" / f"{name}.csv").read_text()
+    assert out == expected.replace(SEED_RELEASE_TIME, RELEASE_TIME)
+    assert load_perfbench("checks").check_report(out, expected) is None
 
 
 BUNDLED_DATA = SRC / "zeropack" / "data" / "sf6_underetch.csv"
@@ -85,14 +100,25 @@ class TestSimulate:
         assert main(["simulate", str(path)]) == 3
         assert "model error: release:" in capsys.readouterr().err
 
-    def test_reference_tabular_is_byte_identical(self, tmp_path):
+    def test_reference_release_just_past_max_time_exits_three(self, tmp_path, capsys):
+        # the reference releases at 96.45106 min; a cap below it is a verdict
+        path = tmp_path / "capped.recipe"
+        text = REFERENCE_RECIPE.read_text().replace("max_time = 240min", "max_time = 96.44min")
+        path.write_text(text)
+        assert main(["simulate", str(path), "--format", "tabular"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "zeropack: model error: release: footprint not fully released after 96.44 min"
+        ]
+
+    def test_reference_tabular_matches_the_seed_table(self, tmp_path):
         out_file = tmp_path / "reference.csv"
         code = main(
             ["simulate", str(REFERENCE_RECIPE), "--format", "tabular", "--out", str(out_file)]
         )
         assert code == 0
-        expected = (REPO / "perfbench" / "expected" / "reference.csv").read_bytes()
-        assert out_file.read_bytes() == expected
+        assert_seed_table(out_file.read_bytes().decode(), "reference")
 
     def test_non_finite_quantity_exits_two(self, tmp_path, capsys):
         text = FAST_RECIPE.replace("probe_time = 2min", "probe_time = 1e400min")
@@ -173,7 +199,7 @@ class TestSweep:
         assert lines[1].split(",")[0] == "2um"
         assert lines[2].split(",")[0] == "2.5um"
 
-    def test_seal_sweep_tabular_is_byte_identical(self, capsys):
+    def test_seal_sweep_tabular_matches_the_seed_table(self, capsys):
         code = main(
             [
                 "sweep",
@@ -189,8 +215,7 @@ class TestSweep:
             ]
         )
         assert code == 0
-        expected = (REPO / "perfbench" / "expected" / "seal_sweep.csv").read_text()
-        assert capsys.readouterr().out == expected
+        assert_seed_table(capsys.readouterr().out, "seal_sweep")
 
     def test_empty_values_is_an_input_error(self, fast_recipe_file, capsys):
         args = ["sweep", str(fast_recipe_file), "--param", "holes.diameter", "--values", ","]
@@ -914,7 +939,7 @@ class TestHostileInput:
 
     def test_never_releasing_layout_stops_growing_its_windows(self, tmp_path, capsys, monkeypatch):
         # the release estimate doubles its window time from 1 min up to
-        # max_time, never further, and the raster confirms the verdict
+        # max_time, never further
         text = FAST_RECIPE.replace(
             "probe_time = 2min", "intrinsic_rate = 1e-300um/min\nmax_time = 1e300min"
         )
@@ -934,9 +959,8 @@ class TestHostileInput:
         assert code == 3
         assert_clean_exit(code, out, err)
         assert "not fully released after 1e+300 min" in err
-        # one front per window time from 1 min to 1e300 min, and one for
-        # the raster query at max_time
-        assert fronts <= math.ceil(math.log2(1e300)) + 2
+        # one front per window time from 1 min to 1e300 min
+        assert fronts <= math.ceil(math.log2(1e300)) + 1
 
 
 class TestStderr:
@@ -954,10 +978,11 @@ class TestStderr:
         )
 
     def test_front_overflow_prints_the_error_alone(self, tmp_path):
+        # every arrival time overflows to inf, past the 240 min cap
         proc = self.run(tmp_path, "sacrificial_thickness = 5um", "sacrificial_thickness = 1e300um")
-        assert proc.returncode == 2
+        assert proc.returncode == 3
         assert proc.stderr.splitlines() == [
-            "zeropack: input error: release: etch front overflows: etch rate or time is too large"
+            "zeropack: model error: release: footprint not fully released after 240 min"
         ]
 
     def test_thin_plate_warning_is_one_line(self, tmp_path):

@@ -4,10 +4,12 @@ import math
 
 import pytest
 
+from conftest import FAST_RECIPE
+from zeropack import clogging as clog_mod
 from zeropack import mechanics
 from zeropack import release as release_mod
 from zeropack.clogging import aperture_after, residue_estimate, thickness_to_clog
-from zeropack.errors import RecipeError, ReleaseTooSlowError
+from zeropack.errors import RecipeError, ReleaseTooSlowError, UncloggableError
 from zeropack.mechanics import PlateSpec, solve_plate
 from zeropack.pipeline import (
     SWEEP_COLUMNS,
@@ -37,7 +39,7 @@ SWEEP_VALUES = {
     "release.intrinsic_rate": [0.5 * UM / MINUTE, 1 * UM / MINUTE],
     "release.aperture_factor": [10 * UM, 30 * UM],
     "release.channel_factor": [0.2, 0.5],
-    # 16.4 min caps the doubling of the search below 32 min
+    # a cap only: the fast recipe releases by either, at the same time
     "release.max_time": [120 * MINUTE, 16.4 * MINUTE],
     "release.coverage_pitch": [0.05 * UM, 0.1 * UM, 0.2 * UM],
     "release.probe_time": [1 * MINUTE, 3 * MINUTE],
@@ -63,8 +65,28 @@ SWEEP_VALUES = {
     "materials.sio2_sputter.poisson_ratio": [0.17, 0.25],
     "materials.sio2_sputter.failure_stress": [1 * MPA, 2 * GPA],
 }
-# a deposition cap that the seal stays under leaves every result as it is
-REPORT_UNCHANGED = {"clogging.max_deposition"}
+# a deposition or time cap that the seal or the release stays under
+# leaves every result as it is
+REPORT_UNCHANGED = {"clogging.max_deposition", "release.max_time"}
+
+# the clogging model reads a hole through its minimum dimension only: a
+# circle, a square and a rectangle of one width, then a wider circle
+MIXED_HOLES = (
+    "hole = circle diameter=1.5um x=-1.5um y=-1.5um\n"
+    "hole = square side=1.5um x=1.5um y=-1.5um\n"
+    "hole = rectangle width=1.5um length=4um x=-1.5um y=1.5um\n"
+    "hole = circle diameter=2.5um x=1.5um y=1.5um"
+)
+
+
+def _counting(fn, calls):
+    """``fn``, appending its name to ``calls`` on every call."""
+
+    def counted(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+
+    return counted
 
 
 @pytest.fixture()
@@ -159,6 +181,56 @@ class TestRunRecipe:
         a = emit_report(run_recipe(fast_recipe), "tabular")
         b = emit_report(run_recipe(fast_recipe), "tabular")
         assert a == b
+
+    @pytest.mark.parametrize("cap", [240.0, 120.0, 100.0, 97.0, 96.46])
+    def test_max_time_only_caps_the_reference_release(self, reference_recipe, cap):
+        report = run_recipe(set_param(reference_recipe, "release.max_time", cap * MINUTE))
+        assert report.release_time == 5787.063445527196
+        assert report.release_time / MINUTE == 96.45105742545326
+
+    def test_clogging_runs_once_per_hole_size(self, monkeypatch):
+        recipe = parse_recipe(FAST_RECIPE.replace("hole = circle diameter=2um", MIXED_HOLES))
+        assert len(recipe.holes) == 4
+        calls = []
+        for name in ("thickness_to_clog", "residue_estimate"):
+            monkeypatch.setattr(clog_mod, name, _counting(getattr(clog_mod, name), calls))
+        report = run_recipe(recipe)
+        # once per size (aperture_after is called by thickness_to_clog as
+        # well; tests/test_bench_trace.py counts the pipeline's calls only)
+        assert calls == ["thickness_to_clog"] * 2 + ["residue_estimate"] * 2
+        sealing, cap = recipe.material("sealing"), recipe.stack.cap_thickness
+        deposited = recipe.stack.clog_deposition
+        for i, hole in enumerate(recipe.holes):
+            assert report.clog_thickness[i] == thickness_to_clog(
+                hole, cap, sealing, recipe.clog, max_deposition=recipe.max_deposition
+            )
+            assert report.remaining_aperture[i] == aperture_after(
+                hole, cap, deposited, sealing, recipe.clog
+            )
+            residue = residue_estimate(hole, cap, deposited, sealing, recipe.clog)
+            assert (report.residue_thickness[i], report.residue_footprint[i]) == residue
+
+    def test_first_hole_size_that_cannot_seal_names_the_error(self):
+        # the 4 um hole fails first, as it did when every hole ran in turn
+        holes = (
+            "hole = circle diameter=1.5um\nhole = circle diameter=4um x=1um\n"
+            "hole = square side=1.5um x=-1um\nhole = circle diameter=6um y=1um"
+        )
+        text = FAST_RECIPE.replace("hole = circle diameter=2um", holes).replace(
+            "[release]", "[clogging]\nmax_deposition = 2um\n\n[release]"
+        )
+        recipe = parse_recipe(text)
+        with pytest.raises(UncloggableError) as direct:
+            for hole in recipe.holes:
+                thickness_to_clog(
+                    hole, recipe.stack.cap_thickness, recipe.material("sealing"), recipe.clog,
+                    max_deposition=recipe.max_deposition,
+                )
+        message = "clogging: hole of 4 um does not seal within 2 um of deposition"
+        assert f"clogging: {direct.value}" == message
+        with pytest.raises(UncloggableError) as piped:
+            run_recipe(recipe)
+        assert str(piped.value) == message
 
     def test_stage_errors_carry_stage_label(self, fast_recipe):
         recipe = set_param(fast_recipe, "release.max_time", 0.5 * MINUTE)

@@ -11,7 +11,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (
-    bisect_release_time,
     closed_form_underetch,
     dense_release_coverage,
     euler_underetch,
@@ -32,8 +31,6 @@ from zeropack.geometry import (
 from zeropack.pipeline import set_param
 from zeropack.release import (
     DEFAULT_ETCH_PARAMS,
-    DEFAULT_TIME_CAP,
-    TIME_TOLERANCE,
     EtchObservation,
     EtchParams,
     bundled_observations,
@@ -521,16 +518,13 @@ class TestTimeToRelease:
             max_time=r.etch_max_time,
             grid_pitch=r.coverage_pitch,
         )
-        assert t == 5787.01171875
-        # the search runs on the arrival-time estimate; the raster is asked
-        # only at the two ends of its final bracket (25 queries when every
-        # step of the search asked it)
-        assert len(queries) == 2
+        assert t == 5787.063445527196
+        # read off the arrival times: the raster is never asked
+        assert queries == []
 
     def test_reference_release_peak_memory_per_cell(self, reference_recipe):
         # the estimate drops its maps at t_up before building the later
-        # ones, and the coverage query turns its distance map into the
-        # cell fractions in place: 35 B/cell held both
+        # ones (35 B/cell held both); it peaks at about 19 B/cell
         r = set_param(reference_recipe, "release.coverage_pitch", 58.59375 * NM)
         cells = 512 * 512
         assert math.prod(_raster_shape(r.stack.cavity_footprint, r.coverage_pitch)) == cells
@@ -550,79 +544,26 @@ class TestTimeToRelease:
             tracemalloc.stop()
         assert peak / cells <= 24.0
 
-    @pytest.mark.parametrize(
-        "wrong",
-        [lambda t: 0.5 * t, lambda t: 2.0 * t, lambda t: 0.0, lambda t: math.inf],
-        ids=["too-early", "too-late", "zero", "inf"],
-    )
-    def test_wrong_estimate_falls_back_to_the_raster_search(
-        self, materials, monkeypatch, wrong
-    ):
-        fp = Rect(12 * UM, 12 * UM)
-        stack = PackageStack(1.1 * UM, 2 * UM, 2.5 * UM, fp)
-        holes = [Hole.circle(2 * UM, (-3.5 * UM, -3.5 * UM)), Hole.square(2 * UM, (3 * UM, 2 * UM))]
-        pitch = 0.5 * UM
-        expected = bisect_release_time(fp, holes, stack, PARAMS, pitch, DEFAULT_TIME_CAP)
-        assert expected > 0.0
-        estimate = release_mod._release_estimate
-        queries = 0
-
-        def counted(*args):
-            nonlocal queries
-            queries += 1
-            return release_coverage(*args)
-
-        monkeypatch.setattr(release_mod, "release_coverage", counted)
-        monkeypatch.setattr(release_mod, "_release_estimate", lambda *a: wrong(estimate(*a)))
-        t, _ = time_to_release(fp, holes, stack, PARAMS, materials["sio2_sputter"], grid_pitch=pitch)
-        assert t == expected
-        assert queries > 2
-
-    def test_bisection_stops_on_adjacent_floats(self, fast_recipe, monkeypatch):
-        # past about 2.7e14 s the float spacing exceeds TIME_TOLERANCE, so
-        # the bracket narrows to two adjacent floats and halving stalls
-        queries = 0
-
-        def capped(*args):
-            nonlocal queries
-            queries += 1
-            if queries > 200:
-                raise AssertionError("the release bisection does not terminate")
-            return release_coverage(*args)
-
-        monkeypatch.setattr(release_mod, "release_coverage", capped)
-        r = fast_recipe
-        slow = replace(r.etch, intrinsic_rate=1e-12 * UM / MINUTE)
-        fp = r.stack.cavity_footprint
-        t, _ = time_to_release(
-            fp, r.holes, r.stack, slow, r.material("structural"), max_time=1e30 * MINUTE
-        )
-        assert math.ulp(t) > TIME_TOLERANCE
-        # the left endpoint is returned: not yet released, one ulp later it is
-        pitch = default_coverage_pitch(r.holes)
-        verdicts = [
-            release_coverage(fp, r.holes, [underetch(h, r.stack, slow, x) for h in r.holes], pitch)
-            >= 1.0
-            for x in (t, math.nextafter(t, math.inf))
-        ]
-        assert verdicts == [False, True]
-        # a few ulps off, the estimate's bracket is mended by galloping from
-        # the raster's answer, not by a search from zero (99 queries)
-        assert queries <= 20
-
-    def test_reference_release_bracket_agrees_with_dense_oracle(self, reference_recipe):
+    def test_reference_release_time_is_where_the_raster_covers(self, reference_recipe):
+        # independent of the arrival times: the coverage raster, and the
+        # dense coverage oracle with it, reads 1 at the release time and
+        # below 1 a relative 1e-9 earlier
         r = reference_recipe
         fp = r.stack.cavity_footprint
+        t, _ = time_to_release(
+            fp, r.holes, r.stack, r.etch, r.material("structural"), grid_pitch=r.coverage_pitch
+        )
         # the 36 holes are identical, so one front serves them all
         assert len({(h.shape, h.width) for h in r.holes}) == 1
-        pitch = default_coverage_pitch(r.holes)
-        verdicts = []
-        for t in (5787.01171875, 5787.01171875 + TIME_TOLERANCE):
-            u = [underetch(r.holes[0], r.stack, r.etch, t)] * len(r.holes)
-            released = release_coverage(fp, r.holes, u, pitch) >= 1.0
-            assert released == (dense_release_coverage(fp, r.holes, u, pitch) >= 1.0)
-            verdicts.append(released)
-        assert verdicts == [False, True]
+        pitch = r.coverage_pitch or default_coverage_pitch(r.holes)
+        coverage = []
+        for x in (t, t * (1 - 1e-9)):
+            u = [underetch(r.holes[0], r.stack, r.etch, x)] * len(r.holes)
+            covered = release_coverage(fp, r.holes, u, pitch)
+            assert covered == dense_release_coverage(fp, r.holes, u, pitch)
+            coverage.append(covered)
+        assert coverage[0] == 1.0
+        assert coverage[1] < 1.0
 
     def test_structural_loss_tracks_selectivity(self, materials):
         fp = Rect(10 * UM, 10 * UM)
