@@ -72,9 +72,8 @@ def _molding(recipe: Recipe):
     )
     with located("molding"):
         solution = solve_plate(plate, recipe.molding.grid_n)
-    limit = recipe.molding.max_deflection
     return solution, {
-        "deflection": limit is None or solution.w_max <= limit,
+        "deflection": solution.w_max <= recipe.molding.max_deflection,
         "stress": solution.sigma_max
         <= structural.failure_stress / recipe.molding.safety_factor,
     }

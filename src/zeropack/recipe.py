@@ -3,9 +3,9 @@
 Line-oriented text format: sections in square brackets, ``key = value``
 entries, ``#`` comments. Quantities carry mandatory unit suffixes from
 {nm, um, mm, s, min, MPa, GPa, bar, mbar} plus quotient forms such as
-``um/min``; dimensionless entries are bare numbers. Unknown sections,
-unknown keys, missing units, and unit/dimension mismatches are rejected
-with line numbers.
+``um/min``, all listed in ``_UNITS``; dimensionless entries are bare
+numbers. Unknown sections, unknown keys, missing units, and
+unit/dimension mismatches are rejected with line numbers.
 
 Sections::
 
@@ -73,21 +73,29 @@ from .units import BAR, GPA, MBAR, MINUTE, MM, MPA, NM, SECOND, UM
 DEFAULT_CHAMBER_PRESSURE = 5e-7 * MBAR
 DEFAULT_MOLDING_PRESSURE = 10.0 * MPA
 
-# Resource bounds: a cold plate solve at grid_n = 256 takes about 1.1 ms
-# and 1.3 MB (1.6 ms where it builds that grid's sine basis), the release
-# search on 2048^2 raster cells about 0.7 s, 80 MB traced and 110 MB of
-# process RSS on a 2-vCPU Xeon (the reference recipe: 128 and 160^2).
+# Resource bounds: a cold plate solve at grid_n = 256 takes about 1.4 ms
+# and 1.1 MB traced (about 3.5 ms as a process's first solve at that
+# grid, which also builds its sine basis), the release time on 2048^2
+# raster cells about 0.3 s, 79 MB traced and 107 MB of process RSS on a
+# 2-vCPU Xeon (the reference recipe: 128 and 160^2).
 MAX_GRID_N = 256
 MAX_RASTER_CELLS = 2**22
 
-_LENGTH_UNITS = {"nm": NM, "um": UM, "mm": MM}
-_TIME_UNITS = {"s": SECOND, "min": MINUTE}
-_PRESSURE_UNITS = {"MPa": MPA, "GPa": GPA, "bar": BAR, "mbar": MBAR}
-_UNIT_KIND = (
-    {u: "length" for u in _LENGTH_UNITS}
-    | {u: "time" for u in _TIME_UNITS}
-    | {u: "pressure" for u in _PRESSURE_UNITS}
-)
+_LENGTH = {"nm": NM, "um": UM, "mm": MM}
+_TIME = {"s": SECOND, "min": MINUTE}
+_PRESSURE = {"MPa": MPA, "GPa": GPA, "bar": BAR, "mbar": MBAR}
+# dimension -> {suffix: (numerator, denominator)}; a value converts to SI as
+# value * numerator / denominator, a pair rather than one factor so that a
+# quotient such as um/min rounds as value * UM / MINUTE
+_UNITS = {
+    "none": {"": (1.0, 1.0)},
+    "length": {u: (f, 1.0) for u, f in _LENGTH.items()},
+    "time": {u: (f, 1.0) for u, f in _TIME.items()},
+    "pressure": {u: (f, 1.0) for u, f in _PRESSURE.items()},
+    "rate": {f"{n}/{d}": (_LENGTH[n], _TIME[d]) for n in _LENGTH for d in _TIME},
+    "closure": {"": (1.0, 1.0)}
+    | {f"{n}/{d}": (_LENGTH[n], _LENGTH[d]) for n in _LENGTH for d in _LENGTH},
+}
 
 _NUMBER_RE = re.compile(r"([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*(\S*)")
 
@@ -136,17 +144,18 @@ _MATERIALS_PATH_RE = re.compile(r"materials\.([^.]*)\.(.*)")
 
 @dataclass(frozen=True)
 class MoldingSpec:
-    """Molding load and pass/fail limits for the sealed package."""
+    """Molding load and pass/fail limits for the sealed package;
+    ``max_deflection`` is ``inf`` (the default) for no deflection limit."""
 
     pressure: float = DEFAULT_MOLDING_PRESSURE
-    max_deflection: float | None = None
+    max_deflection: float = math.inf
     safety_factor: float = 1.0
     grid_n: int = 128
 
     def __post_init__(self) -> None:
         if not self.pressure >= 0.0:
             raise ValueError("pressure must be >= 0")
-        if self.max_deflection is not None and not self.max_deflection > 0.0:
+        if not self.max_deflection > 0.0:
             raise ValueError("max_deflection must be > 0")
         if not self.safety_factor >= 1.0:
             raise ValueError("safety_factor must be >= 1")
@@ -219,41 +228,25 @@ def parse_quantity(token: str, kind: str, where: str) -> float:
 
 
 def _to_si(value: float, unit: str, kind: str, where: str) -> float:
-    if kind == "none":
-        if unit:
-            raise RecipeError(f"{where}: expected a dimensionless number, got unit {unit!r}")
-        return value
     if kind == "count":
         if unit:
             raise RecipeError(f"{where}: expected a whole number, got unit {unit!r}")
         if not value.is_integer():
             raise RecipeError(f"{where}: expected a whole number, got {value!r}")
         return int(value)
-    if kind == "closure":
-        if not unit:
-            return value
-        num, _, den = unit.partition("/")
-        if num in _LENGTH_UNITS and den in _LENGTH_UNITS:
-            return value * _LENGTH_UNITS[num] / _LENGTH_UNITS[den]
-        raise RecipeError(f"{where}: expected a bare ratio or length/length, got {unit!r}")
-    if kind == "rate":
-        num, slash, den = unit.partition("/")
-        if not slash:
-            raise RecipeError(f"{where}: rates need a length/time unit such as um/min")
-        if num not in _LENGTH_UNITS or den not in _TIME_UNITS:
-            raise RecipeError(f"{where}: {unit!r} is not a length/time unit")
-        return value * _LENGTH_UNITS[num] / _TIME_UNITS[den]
-
-    table = {"length": _LENGTH_UNITS, "time": _TIME_UNITS, "pressure": _PRESSURE_UNITS}[kind]
+    if unit in _UNITS[kind]:
+        num, den = _UNITS[kind][unit]
+        return value * num / den
+    if kind == "none":
+        raise RecipeError(f"{where}: expected a dimensionless number, got unit {unit!r}")
     if not unit:
         raise RecipeError(f"{where}: missing unit, expected a {kind}")
-    if unit in table:
-        return value * table[unit]
-    if unit in _UNIT_KIND:
-        raise RecipeError(
-            f"{where}: dimension mismatch, expected a {kind} but {unit!r} is a "
-            f"{_UNIT_KIND[unit]} unit"
-        )
+    for other, units in _UNITS.items():
+        if unit in units:
+            raise RecipeError(
+                f"{where}: dimension mismatch, expected a {kind} but {unit!r} is a "
+                f"{other} unit"
+            )
     raise RecipeError(f"{where}: unknown unit {unit!r}")
 
 
@@ -388,8 +381,6 @@ def _set_field(recipe: Recipe, path: str, value: float, where: str) -> Recipe:
 def _parse_hole(entry: _Entry) -> Hole:
     tokens = entry.value.split()
     with located(f"line {entry.lineno}", RecipeError):
-        if not tokens:
-            raise RecipeError("empty hole definition")
         shape, attr_tokens = tokens[0], tokens[1:]
         if shape not in _HOLE_SHAPES:
             raise RecipeError(f"unknown hole shape {shape!r}")

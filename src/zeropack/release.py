@@ -189,29 +189,11 @@ def time_to_release(
     """Time at which the etch fronts cover the whole footprint.
 
     Returns ``(t_release, structural_loss)``: the latest cell arrival
-    time on the coverage raster (:func:`_release_estimate`), read off in
-    closed form with no search, and the structural film's selectivity
-    loss over that time. ``max_time`` is only a cap: a release time beyond
-    it (inf included) raises :class:`ReleaseTooSlowError`, and any other
-    is returned unchanged whatever the cap.
-    """
-    if not holes:
-        raise ValueError("at least one hole required")
-    if not max_time > 0.0:
-        raise ValueError("max_time must be > 0")
-    pitch = grid_pitch if grid_pitch is not None else default_coverage_pitch(holes)
-    h_s = stack.sacrificial_thickness
-    feed = [_feed(params, h_s, hole_area(h)) for h in holes]
-    t = _release_estimate(footprint, holes, params, feed, h_s, pitch, max_time)
-    if t > max_time:
-        raise ReleaseTooSlowError(
-            f"footprint not fully released after {max_time / MINUTE:g} min"
-        )
-    return t, structural.selectivity_loss * t
-
-
-def _release_estimate(footprint, holes, params, feed, h_s, pitch, max_time) -> float:
-    """The release time on the coverage raster, from arrival times.
+    time on the coverage raster, read off in closed form with no search,
+    and the structural film's selectivity loss over that time.
+    ``max_time`` is only a cap: a release time beyond it (inf included)
+    raises :class:`ReleaseTooSlowError`, and any other is returned
+    unchanged whatever the cap.
 
     A cell whose centre lies at distance ``D_i`` from hole ``i`` counts 0
     until ``lo_c = min_i T_i(D_i - half_diag)`` and 1 from
@@ -229,16 +211,22 @@ def _release_estimate(footprint, holes, params, feed, h_s, pitch, max_time) -> f
     stays beyond it. ``t_up`` doubles from 1 min while some cell lies
     outside every window, then moves once to the latest ``hi_c`` if that
     is later, and never passes ``max_time``; windows that span the
-    raster reach every cell.
+    raster reach every cell, and a cell outside every window at
+    ``max_time`` has time inf.
 
-    Returns the latest cell time as computed from the rounded
-    ``_arrival`` times when it is at most ``max_time``, and otherwise some
-    time past ``max_time`` (inf when a cell lies outside every window
-    there). ``release_coverage`` places the fronts by ``_front``, the inverse map,
-    so the first float at which it reads 1 can differ from this result in
-    the last digits: on the reference recipe it lies 1049 ulps (1.6e-13
-    relative) below it.
+    The result is the latest cell time as computed from the rounded
+    ``_arrival`` times. ``release_coverage`` places the fronts by
+    ``_front``, the inverse map, so the first float at which it reads 1
+    can differ from it in the last digits: on the reference recipe it
+    lies 1049 ulps (1.6e-13 relative) below it.
     """
+    if not holes:
+        raise ValueError("at least one hole required")
+    if not max_time > 0.0:
+        raise ValueError("max_time must be > 0")
+    pitch = grid_pitch if grid_pitch is not None else default_coverage_pitch(holes)
+    h_s = stack.sacrificial_thickness
+    feed = [_feed(params, h_s, hole_area(h)) for h in holes]
     grid = _raster(footprint, holes, pitch)
     shape = (grid.ys.size, grid.xs.size)
 
@@ -299,7 +287,11 @@ def _release_estimate(footprint, holes, params, feed, h_s, pitch, max_time) -> f
         best = max(best, float(np.minimum(bounds[start : start + size], sub.max(axis=1)).max()))
         start += size
         size *= 2
-    return best
+    if best > max_time:
+        raise ReleaseTooSlowError(
+            f"footprint not fully released after {max_time / MINUTE:g} min"
+        )
+    return best, structural.selectivity_loss * best
 
 
 def calibrate_etch(

@@ -93,6 +93,15 @@ class TestSimulate:
         path.write_text("[stack]\nwat\n")
         assert main(["simulate", str(path)]) == 2
 
+    def test_empty_hole_line_exits_two_at_its_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.recipe"
+        holes = "hole = circle diameter=2um\n"
+        path.write_text(FAST_RECIPE.replace(holes, holes + "hole =\n"))
+        assert main(["simulate", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "zeropack: input error: line 9: expected 'key = value', got 'hole ='\n"
+        )
+
     def test_release_too_slow_exits_three(self, tmp_path, capsys):
         text = FAST_RECIPE.replace("probe_time = 2min", "max_time = 1min")
         path = tmp_path / "slow.recipe"

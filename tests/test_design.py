@@ -151,6 +151,8 @@ class TestMinCapThickness:
             molding_constraints(max_deflection=0.0)
         with pytest.raises(ValueError):
             molding_constraints(safety_factor=0.5)
+        with pytest.raises(ValueError, match="membrane sides must be > 0"):
+            molding_constraints(side_a=0.0)
         with pytest.raises(ValueError):
             DesignConstraints(
                 pressure=1 * MPA,
@@ -210,6 +212,10 @@ class TestEquivalentThickness:
     def test_bad_mode_rejected(self, lto, nitride):
         with pytest.raises(ValueError):
             equivalent_thickness(lto, 4.5 * UM, nitride, molding_constraints(), match="mass")
+
+    def test_non_positive_thickness_rejected(self, lto, nitride):
+        with pytest.raises(ValueError, match="thickness_a must be > 0"):
+            equivalent_thickness(lto, 0.0, nitride, molding_constraints())
 
 
 def test_min_cap_on_fresh_geometry_is_one_cold_solve(lto, monkeypatch):

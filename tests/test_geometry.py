@@ -50,6 +50,10 @@ class TestHole:
             Hole("triangle", 1 * UM, 1 * UM)
         with pytest.raises(ValueError):
             Hole("rectangle", 2 * UM, 1 * UM)
+        with pytest.raises(ValueError, match="circle holes have a single dimension"):
+            Hole("circle", 1 * UM, 2 * UM)
+        with pytest.raises(ValueError, match="rectangle dimensions must be strictly positive"):
+            Rect(0.0, 1 * UM)
 
 
 class TestAspectRatio:
@@ -141,6 +145,8 @@ class TestReleaseCoverage:
     def test_default_pitch_is_eighth_of_smallest_hole(self):
         holes = [Hole.circle(2 * UM), Hole.square(1.6 * UM)]
         assert default_coverage_pitch(holes) == pytest.approx(0.2 * UM)
+        with pytest.raises(ValueError, match="at least one hole required"):
+            default_coverage_pitch([])
 
     def test_monotone_in_underetch(self):
         fp = Rect(12 * UM, 8 * UM)

@@ -484,6 +484,10 @@ class TestSweep:
         out = emit_sweep([], "tabular")
         assert out == ",".join(SWEEP_COLUMNS) + "\n"
 
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            emit_sweep([], "xml")
+
     def test_sweep_rows_have_all_columns(self, fast_recipe):
         out = emit_sweep(sweep(fast_recipe, "holes.diameter", [2 * UM]), "tabular")
         lines = out.splitlines()

@@ -1,3 +1,4 @@
+import math
 import re
 
 import pytest
@@ -47,7 +48,10 @@ class TestParseQuantity:
         assert parse_quantity("30s", "time", "t") == 30.0
 
     def test_rates_and_closure(self):
-        assert parse_quantity("1.5um/min", "rate", "t") == pytest.approx(1.5 * UM / MINUTE)
+        # a quotient multiplies by its numerator, then divides by its
+        # denominator: 1.5 * (UM / MINUTE) rounds to another float
+        assert parse_quantity("1.5um/min", "rate", "t") == 1.5 * UM / MINUTE
+        assert parse_quantity("3nm/um", "closure", "t") == 3 * NM / UM
         assert parse_quantity("1nm/min", "rate", "t") == pytest.approx(1 * NM / MINUTE)
         assert parse_quantity("0.8um/um", "closure", "t") == pytest.approx(0.8)
         assert parse_quantity("0.8", "closure", "t") == 0.8
@@ -70,6 +74,31 @@ class TestParseQuantity:
             parse_quantity("2min", "length", "t")
         with pytest.raises(RecipeError, match="dimension mismatch"):
             parse_quantity("3MPa", "time", "t")
+
+    @pytest.mark.parametrize(
+        "token, kind, message",
+        [
+            ("2um", "rate", "dimension mismatch, expected a rate but 'um' is a length unit"),
+            ("2", "rate", "missing unit, expected a rate"),
+            ("2um/h", "rate", "unknown unit 'um/h'"),
+            ("2um/um", "rate", "dimension mismatch, expected a rate but 'um/um' is a closure unit"),
+            (
+                "0.5um",
+                "closure",
+                "dimension mismatch, expected a closure but 'um' is a length unit",
+            ),
+            (
+                "0.5um/min",
+                "closure",
+                "dimension mismatch, expected a closure but 'um/min' is a rate unit",
+            ),
+            ("0.5um/s/um", "closure", "unknown unit 'um/s/um'"),
+        ],
+    )
+    def test_rate_and_closure_unit_errors(self, token, kind, message):
+        with pytest.raises(RecipeError) as info:
+            parse_quantity(token, kind, "t")
+        assert str(info.value) == f"t: {message}"
 
     def test_non_finite_rejected(self):
         with pytest.raises(RecipeError, match="not finite"):
@@ -102,7 +131,7 @@ class TestMinimalRecipe:
         assert r.clog == ClogParams()
         assert r.chamber_pressure == DEFAULT_CHAMBER_PRESSURE
         assert r.molding.pressure == DEFAULT_MOLDING_PRESSURE
-        assert r.molding.max_deflection is None
+        assert r.molding.max_deflection == math.inf
         assert r.molding.safety_factor == 1.0
         assert r.structural == "sio2_sputter"
         assert r.sealing == "sio2_sputter"
@@ -148,6 +177,17 @@ class TestSections:
     def test_syntax_error_with_line_number(self):
         with pytest.raises(RecipeError, match="line 2"):
             parse_recipe("[stack]\nnot a key value line\n")
+
+    def test_malformed_section_header(self):
+        with pytest.raises(RecipeError, match=r"^line 9: malformed section header '\[release'$"):
+            parse_recipe(MINIMAL + "[release\n")
+
+    @pytest.mark.parametrize("line", ["= 2um", "cap_thickness ="])
+    def test_empty_key_or_value(self, line):
+        text = MINIMAL.replace("cap_thickness = 2um", line)
+        with pytest.raises(RecipeError) as info:
+            parse_recipe(text)
+        assert str(info.value) == f"line 3: expected 'key = value', got {line!r}"
 
     def test_missing_required_section(self):
         with pytest.raises(RecipeError, match=r"\[stack\]"):

@@ -594,6 +594,14 @@ class TestTimeToRelease:
         with pytest.raises(ValueError):
             time_to_release(fp, [], stack, PARAMS, materials["sio2_sputter"])
 
+    def test_non_positive_cap_rejected(self, materials):
+        fp = Rect(10 * UM, 10 * UM)
+        stack = PackageStack(1.1 * UM, 2 * UM, 2.5 * UM, fp)
+        with pytest.raises(ValueError, match="max_time must be > 0"):
+            time_to_release(
+                fp, [Hole.circle(2 * UM)], stack, PARAMS, materials["sio2_sputter"], max_time=0.0
+            )
+
     def test_enlarging_or_adding_holes_never_slows_release(self, materials):
         fp = Rect(10 * UM, 10 * UM)
         stack = PackageStack(1.1 * UM, 2 * UM, 2.5 * UM, fp)
