@@ -29,6 +29,7 @@ from .mechanics import solve_plate  # noqa: F401 - perfbench's tracer wraps cli.
 from .pipeline import (
     _check_rows,
     _molding,
+    _molding_rows,
     _tabular,
     emit_report,
     emit_sweep,
@@ -144,13 +145,7 @@ def _cmd_check_molding(args) -> int:
     if args.dump_field is not None:
         args.dump_field.write_text(dump_deflection(solution), encoding="utf-8")
     if args.format == "tabular":
-        text = _tabular(
-            [
-                ("molding_deflection", "nm", solution.w_max / NM),
-                ("molding_stress", "MPa", solution.sigma_max / MPA),
-                *_check_rows(checks),
-            ]
-        )
+        text = _tabular(_molding_rows(solution.w_max, solution.sigma_max) + _check_rows(checks))
     else:
         verdict = {True: "pass", False: "FAIL"}
         text = (
@@ -192,7 +187,3 @@ def main(argv: "list[str] | None" = None) -> int:
         except Exception as exc:
             print(f"zeropack: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return EXIT_SOFTWARE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -18,11 +18,17 @@ from dataclasses import dataclass
 
 from .errors import DesignError
 from .geometry import Material
-from .mechanics import PlateSpec, flexural_rigidity, solve_plate
+from .mechanics import (
+    DEFAULT_GRID_N,
+    PlateSolution,
+    PlateSpec,
+    flexural_rigidity,
+    molding_checks,
+    solve_plate,
+)
 from .units import NM, UM
 
 THICKNESS_STEP = 10.0 * NM
-VERIFY_GRID_N = 128
 
 
 @dataclass(frozen=True)
@@ -55,42 +61,18 @@ class DesignConstraints:
             raise ValueError("need 0 < thickness_min < thickness_max")
 
 
-def _evaluate(material: Material, thickness: float, constraints: DesignConstraints):
-    spec = PlateSpec(
-        side_a=constraints.side_a,
-        side_b=constraints.side_b,
-        thickness=thickness,
-        material=material,
-        pressure=constraints.pressure,
-    )
-    sol = solve_plate(spec, VERIFY_GRID_N)
-    return sol.w_max, sol.sigma_max
-
-
-def _violations(material, w_max, sigma_max, constraints):
-    out = []
-    if w_max > constraints.max_deflection:
-        out.append(
-            f"deflection {w_max / NM:.3g} nm > limit {constraints.max_deflection / NM:.3g} nm"
-        )
-    stress_limit = material.failure_stress / constraints.safety_factor
-    if sigma_max > stress_limit:
-        out.append(f"stress {sigma_max:.3g} Pa > limit {stress_limit:.3g} Pa")
-    return out
-
-
 def min_cap_thickness(material: Material, constraints: DesignConstraints) -> float:
     """Smallest cap thickness meeting both molding constraints.
 
-    One solve at ``thickness_max`` on the verification grid (128) gives
-    the thickness at which each limit is met exactly, through the
-    ``t^-3`` and ``t^-2`` scaling; the lattice
-    ``t_min + k * THICKNESS_STEP`` is entered at the point above it, then
-    stepped to the first feasible point whose predecessor is infeasible,
-    so the result equals an exhaustive scan of the same lattice on that
-    grid. When no lattice point up to ``thickness_max`` is feasible, the
-    result is ``thickness_max`` itself, never a point beyond it. Every
-    solve shares the unit solution's two peaks, cached per geometry.
+    One solve at ``thickness_max`` on ``DEFAULT_GRID_N`` gives the
+    thickness at which each limit is met exactly, through the ``t^-3``
+    and ``t^-2`` scaling; the lattice ``t_min + k * THICKNESS_STEP`` is
+    entered at the point above it, then stepped to the first point that
+    passes ``molding_checks`` and whose predecessor fails, so the result
+    equals an exhaustive scan of the same lattice on that grid. When no
+    lattice point up to ``thickness_max`` is feasible, the result is
+    ``thickness_max`` itself, never a point beyond it. Every solve shares
+    the unit solution's two peaks, cached per geometry.
     """
     c = constraints
     last = int((c.thickness_max - c.thickness_min) / THICKNESS_STEP)
@@ -99,21 +81,28 @@ def min_cap_thickness(material: Material, constraints: DesignConstraints) -> flo
         # the float lattice can round past an on-lattice thickness_max
         return min(c.thickness_min + k * THICKNESS_STEP, c.thickness_max)
 
-    def feasible(k: int) -> bool:
-        w_max, sigma_max = _evaluate(material, t_at(k), c)
-        return not _violations(material, w_max, sigma_max, c)
+    def verdict(t: float) -> tuple[PlateSolution, dict[str, bool]]:
+        sol = solve_plate(PlateSpec(c.side_a, c.side_b, t, material, c.pressure), DEFAULT_GRID_N)
+        return sol, molding_checks(sol, c.max_deflection, c.safety_factor)
 
-    w_max, sigma_max = _evaluate(material, c.thickness_max, c)
-    problems = _violations(material, w_max, sigma_max, c)
-    if problems:
+    def feasible(k: int) -> bool:
+        return all(verdict(t_at(k))[1].values())
+
+    top, checks = verdict(c.thickness_max)
+    stress_limit = material.failure_stress / c.safety_factor
+    if not all(checks.values()):
+        problems = {
+            "deflection": f"deflection {top.w_max / NM:.3g} nm > limit "
+            f"{c.max_deflection / NM:.3g} nm",
+            "stress": f"stress {top.sigma_max:.3g} Pa > limit {stress_limit:.3g} Pa",
+        }
         raise DesignError(
-            "no feasible thickness up to "
-            f"{c.thickness_max / UM:g} um: " + "; ".join(problems)
+            f"no feasible thickness up to {c.thickness_max / UM:g} um: "
+            + "; ".join(problems[name] for name, ok in checks.items() if not ok)
         )
 
-    stress_limit = material.failure_stress / c.safety_factor
     t_need = c.thickness_max * max(
-        (w_max / c.max_deflection) ** (1.0 / 3.0), (sigma_max / stress_limit) ** 0.5
+        (top.w_max / c.max_deflection) ** (1.0 / 3.0), (top.sigma_max / stress_limit) ** 0.5
     )
     k = min(max(math.ceil((t_need - c.thickness_min) / THICKNESS_STEP), 0), last)
     # settle on the lattice point an exhaustive scan would stop at

@@ -42,6 +42,7 @@ from .geometry import Material
 from .units import NM, UM
 
 MIN_GRID_N = 16
+DEFAULT_GRID_N = 128
 
 
 @dataclass(frozen=True)
@@ -223,7 +224,7 @@ def _unit_peaks(side_a: float, side_b: float, grid_n: int):
     return float(v_peak), float(m_hat)
 
 
-def solve_plate(spec: PlateSpec, grid_n: int = 128) -> PlateSolution:
+def solve_plate(spec: PlateSpec, grid_n: int = DEFAULT_GRID_N) -> PlateSolution:
     """Deflection of the clamped plate on a (grid_n+1)^2 node grid."""
     if grid_n < MIN_GRID_N:
         raise ValueError(f"grid_n must be >= {MIN_GRID_N}")
@@ -248,6 +249,19 @@ def solve_plate(spec: PlateSpec, grid_n: int = 128) -> PlateSolution:
     if not finite:
         raise SolverError("plate deflection or stress is not finite")
     return PlateSolution(spec=spec, w_max=w_max, sigma_max=sigma_max, grid_n=grid_n)
+
+
+def molding_checks(
+    solution: PlateSolution, max_deflection: float, safety_factor: float
+) -> dict[str, bool]:
+    """The molding verdict on a solved plate: its peak deflection within
+    ``max_deflection`` and its peak stress within the failure stress of
+    its material over ``safety_factor``."""
+    failure_stress = solution.spec.material.failure_stress
+    return {
+        "deflection": solution.w_max <= max_deflection,
+        "stress": solution.sigma_max <= failure_stress / safety_factor,
+    }
 
 
 def dump_deflection(solution: PlateSolution) -> str:

@@ -18,7 +18,7 @@ from . import clogging as clog_mod
 from . import release as release_mod
 from .errors import ModelError, located
 from .geometry import hole_min_dimension
-from .mechanics import PlateSpec, solve_plate
+from .mechanics import PlateSpec, molding_checks, solve_plate
 from .recipe import Recipe, _field_kind, _set_field
 from .units import MBAR, MINUTE, MPA, NM, UM
 
@@ -72,11 +72,9 @@ def _molding(recipe: Recipe):
     )
     with located("molding"):
         solution = solve_plate(plate, recipe.molding.grid_n)
-    return solution, {
-        "deflection": solution.w_max <= recipe.molding.max_deflection,
-        "stress": solution.sigma_max
-        <= structural.failure_stress / recipe.molding.safety_factor,
-    }
+    return solution, molding_checks(
+        solution, recipe.molding.max_deflection, recipe.molding.safety_factor
+    )
 
 
 def _release(recipe: Recipe) -> tuple[float, float, float | None]:
@@ -140,8 +138,8 @@ def run_recipe(recipe: Recipe) -> ProcessReport:
     residues = [residue_by[a] for a in sizes]
     governing = max(clog_thickness)
 
-    solution, molding_checks = _molding(recipe)
-    checks = {"sealed": deposited >= governing, **molding_checks}
+    solution, molding = _molding(recipe)
+    checks = {"sealed": deposited >= governing, **molding}
     report = ProcessReport(
         release_time=release_time,
         structural_loss=structural_loss,
@@ -239,6 +237,11 @@ def _check_rows(checks: dict[str, bool]) -> list[tuple[str, str, bool]]:
     return rows + [("passed", "-", all(checks.values()))]
 
 
+def _molding_rows(deflection: float, stress: float) -> list[tuple[str, str, float]]:
+    """The molding rows of ``simulate`` and ``check-molding``."""
+    return [("molding_deflection", "nm", deflection / NM), ("molding_stress", "MPa", stress / MPA)]
+
+
 def _report_rows(report: ProcessReport) -> list[tuple[str, str, float]]:
     """The rows of a report: field, units, value in those units."""
     rows = [
@@ -253,11 +256,8 @@ def _report_rows(report: ProcessReport) -> list[tuple[str, str, float]]:
         ("residue_footprint", "um", UM, report.residue_footprint),
     ):
         rows += [(f"{name}[{i}]", unit, v / scale) for i, v in enumerate(values)]
-    rows += [
-        ("cavity_pressure", "mbar", report.cavity_pressure / MBAR),
-        ("molding_deflection", "nm", report.molding_deflection / NM),
-        ("molding_stress", "MPa", report.molding_stress / MPA),
-    ]
+    rows.append(("cavity_pressure", "mbar", report.cavity_pressure / MBAR))
+    rows += _molding_rows(report.molding_deflection, report.molding_stress)
     if report.probe_time is not None:
         rows.append(("probe_time", "min", report.probe_time / MINUTE))
     if report.probe_underetch is not None:

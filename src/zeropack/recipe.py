@@ -60,7 +60,7 @@ from .geometry import (
     standard_materials,
     validate_hole_layout,
 )
-from .mechanics import MIN_GRID_N
+from .mechanics import DEFAULT_GRID_N, MIN_GRID_N
 from .release import (
     DEFAULT_ETCH_PARAMS,
     DEFAULT_TIME_CAP,
@@ -150,7 +150,7 @@ class MoldingSpec:
     pressure: float = DEFAULT_MOLDING_PRESSURE
     max_deflection: float = math.inf
     safety_factor: float = 1.0
-    grid_n: int = 128
+    grid_n: int = DEFAULT_GRID_N
 
     def __post_init__(self) -> None:
         if not self.pressure >= 0.0:

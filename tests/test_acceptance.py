@@ -21,13 +21,12 @@ from zeropack.clogging import (
 )
 from zeropack.design import (
     THICKNESS_STEP,
-    VERIFY_GRID_N,
     DesignConstraints,
     equivalent_thickness,
     min_cap_thickness,
 )
 from zeropack.geometry import Hole, PackageStack, Rect, release_coverage, standard_materials
-from zeropack.mechanics import PlateSpec, flexural_rigidity, solve_plate
+from zeropack.mechanics import DEFAULT_GRID_N, PlateSpec, flexural_rigidity, solve_plate
 from zeropack.pipeline import emit_report, emit_sweep, run_recipe, sweep
 from zeropack.release import bundled_observations, calibrate_etch, underetch
 from zeropack.units import MINUTE, MPA, NM, UM
@@ -233,13 +232,13 @@ def test_criterion_7_thickness_optimizer():
     k = 0
     while True:
         t_scan = constraints.thickness_min + k * THICKNESS_STEP
-        sol = solve_plate(PlateSpec(30 * UM, 30 * UM, t_scan, LTO, 10 * MPA), VERIFY_GRID_N)
+        sol = solve_plate(PlateSpec(30 * UM, 30 * UM, t_scan, LTO, 10 * MPA), DEFAULT_GRID_N)
         if sol.w_max <= constraints.max_deflection and sol.sigma_max <= LTO.failure_stress:
             break
         k += 1
     ok_scan = t == t_scan
 
-    thin = solve_plate(PlateSpec(30 * UM, 30 * UM, t - 50 * NM, LTO, 10 * MPA), VERIFY_GRID_N)
+    thin = solve_plate(PlateSpec(30 * UM, 30 * UM, t - 50 * NM, LTO, 10 * MPA), DEFAULT_GRID_N)
     ok_margin = thin.w_max > constraints.max_deflection or thin.sigma_max > LTO.failure_stress
 
     nit = replace(NITRIDE, poisson_ratio=LTO.poisson_ratio)

@@ -129,6 +129,20 @@ class TestSimulate:
         assert code == 0
         assert_seed_table(out_file.read_bytes().decode(), "reference")
 
+    def test_reference_text_bytes(self, capsys):
+        assert main(["simulate", str(REFERENCE_RECIPE)]) == 0
+        assert capsys.readouterr().out == (
+            "release time             96.451 min\n"
+            "cap loss to release      96.451 nm\n"
+            "governing clog           1.8750 um (36/36 holes sealed by the deposition)\n"
+            "worst open aperture       0.000 nm\n"
+            "residue per hole         79.987 nm over 9.00 um\n"
+            "cavity pressure       5.000e-07 mbar\n"
+            "molding deflection       18.734 nm\n"
+            "molding stress          136.846 MPa\n"
+            "checks               sealed pass, deflection pass, stress pass\n"
+        )
+
     def test_non_finite_quantity_exits_two(self, tmp_path, capsys):
         text = FAST_RECIPE.replace("probe_time = 2min", "probe_time = 1e400min")
         path = tmp_path / "inf.recipe"
@@ -433,6 +447,16 @@ class TestCalibrate:
         assert parsed["intrinsic_rate"][0] == "um/min"
         assert parsed["n_observations"][1] == 5.0
 
+    def test_bundled_text_bytes(self, capsys):
+        assert main(["calibrate-etch", str(BUNDLED_DATA)]) == 0
+        assert capsys.readouterr().out == (
+            "fitted on 8 observations\n"
+            "intrinsic rate       1.7528 um/min\n"
+            "aperture factor     21.0416 um\n"
+            "channel factor       0.3215\n"
+            "residual norm        0.0622 um\n"
+        )
+
     def test_bundled_tabular_bytes(self, capsys):
         assert main(["calibrate-etch", str(BUNDLED_DATA), "--format", "tabular"]) == 0
         assert capsys.readouterr().out == (
@@ -517,6 +541,14 @@ class TestCheckMolding:
         assert main(["check-molding", str(fast_recipe_file), "--format", "tabular"]) == 0
         parsed = parse_tabular_report(capsys.readouterr().out)
         assert parsed["passed"][1] == 1.0
+
+    def test_reference_text_bytes(self, capsys):
+        assert main(["check-molding", str(REFERENCE_RECIPE)]) == 0
+        assert capsys.readouterr().out == (
+            "cap thickness          4.5000 um\n"
+            "molding deflection     18.734 nm (pass)\n"
+            "molding stress        136.846 MPa (pass)\n"
+        )
 
     def test_reference_tabular_bytes(self, capsys):
         assert main(["check-molding", str(REFERENCE_RECIPE), "--format", "tabular"]) == 0

@@ -188,6 +188,16 @@ class TestResidue:
         oracle = residue_quadrature(hole, CAP, dep_um * UM, sio2, PARAMS)
         assert residue == pytest.approx(oracle, rel=1e-5, abs=1e-15)
 
+    def test_zero_closure_rate_leaves_no_residue(self, sio2):
+        # the flux underflows to a closure rate of exactly 0: the hole never
+        # narrows, and the footprint is still the opening plus its cone
+        faint = replace(sio2, sticking_coefficient=1e-300)
+        params = replace(PARAMS, floor_attenuation=0.0, knee_ratio=1e300)
+        assert closure_rate(1.5 * UM, CAP, faint, params) == 0.0
+        residue, footprint = residue_estimate(PRODUCTION, CAP, 2.5 * UM, faint, params)
+        assert residue == 0.0
+        assert footprint == pytest.approx(9 * UM, rel=1e-15)
+
     def test_negative_deposition_rejected(self, sio2):
         with pytest.raises(ValueError):
             residue_estimate(PRODUCTION, CAP, -0.1, sio2, PARAMS)

@@ -1,4 +1,5 @@
 import gc
+import math
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -8,13 +9,12 @@ import pytest
 from zeropack import design, mechanics
 from zeropack.design import (
     THICKNESS_STEP,
-    VERIFY_GRID_N,
     DesignConstraints,
     equivalent_thickness,
     min_cap_thickness,
 )
 from zeropack.errors import DesignError
-from zeropack.mechanics import PlateSpec, solve_plate
+from zeropack.mechanics import DEFAULT_GRID_N, PlateSpec, solve_plate
 from zeropack.units import MPA, NM, UM
 
 pytestmark = pytest.mark.filterwarnings("ignore:thickness")
@@ -50,7 +50,7 @@ def scan_oracle(material, constraints):
     def feasible(t):
         sol = solve_plate(
             PlateSpec(constraints.side_a, constraints.side_b, t, material, constraints.pressure),
-            VERIFY_GRID_N,
+            DEFAULT_GRID_N,
         )
         return (
             sol.w_max <= constraints.max_deflection
@@ -65,6 +65,35 @@ def scan_oracle(material, constraints):
     return constraints.thickness_max if feasible(constraints.thickness_max) else None
 
 
+# (material, side of a square in um, pressure in MPa, lattice point k,
+# limit): at_limit sets that limit to the plate's own peak at the k-th
+# lattice thickness; the first two step down onto it
+BOUNDARY_CASES = [
+    ("sio2_sputter", 65.7155, 3.206, 227, "deflection"),
+    ("sio2_sputter", 51.1385, 2.455, 55, "stress"),
+    ("lto", 30.0, 10.0, 400, "deflection"),
+    ("lto", 30.0, 10.0, 400, "stress"),
+]
+
+
+def at_limit(materials, name, side_um, pressure_mpa, k, limit, ulps):
+    """A material and constraints whose deflection or stress limit is the
+    peak of the plate at ``thickness_min + k * THICKNESS_STEP``, moved
+    ``ulps`` (-1, 0 or 1) units in the last place; the other limit is
+    off (no deflection limit, or the material's own failure stress)."""
+    material = materials[name]
+    c = molding_constraints(
+        side_a=side_um * UM, side_b=side_um * UM, pressure=pressure_mpa * MPA
+    )
+    t = c.thickness_min + k * THICKNESS_STEP
+    sol = solve_plate(PlateSpec(c.side_a, c.side_b, t, material, c.pressure), DEFAULT_GRID_N)
+    peak = sol.w_max if limit == "deflection" else sol.sigma_max
+    value = peak if ulps == 0 else math.nextafter(peak, math.inf * ulps)
+    if limit == "deflection":
+        return material, replace(c, max_deflection=value)
+    return replace(material, failure_stress=value), replace(c, max_deflection=math.inf)
+
+
 class TestMinCapThickness:
     def test_reference_target(self, lto):
         t = min_cap_thickness(lto, molding_constraints())
@@ -74,11 +103,35 @@ class TestMinCapThickness:
         c = molding_constraints()
         assert min_cap_thickness(lto, c) == scan_oracle(lto, c)
 
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    @pytest.mark.parametrize("case", BOUNDARY_CASES, ids=lambda case: f"{case[0]}-{case[4]}")
+    def test_matches_grid_scan_exactly_at_a_limit(self, materials, case, ulps):
+        material, c = at_limit(materials, *case, ulps)
+        assert min_cap_thickness(material, c) == scan_oracle(material, c)
+
+    @pytest.mark.parametrize("case", BOUNDARY_CASES[:2], ids=lambda case: case[4])
+    def test_steps_down_onto_a_limit(self, materials, monkeypatch, case):
+        # the limit met exactly at lattice point k: the thickness that the
+        # scaling reads off the solve at thickness_max rounds to just above
+        # it, so the search enters at k + 1 and steps down to k
+        material, c = at_limit(materials, *case, 0)
+        solved = []
+
+        def recorded(spec, grid_n):
+            solved.append(spec.thickness)
+            return solve_plate(spec, grid_n)
+
+        monkeypatch.setattr(design, "solve_plate", recorded)
+        k = case[3]
+        t = min_cap_thickness(material, c)
+        assert t == c.thickness_min + k * THICKNESS_STEP == scan_oracle(material, c)
+        assert solved[1] == c.thickness_min + (k + 1) * THICKNESS_STEP
+
     def test_minimality_margin(self, lto):
         c = molding_constraints()
         t = min_cap_thickness(lto, c)
         thin = t - 50 * NM
-        sol = solve_plate(PlateSpec(c.side_a, c.side_b, thin, lto, c.pressure), VERIFY_GRID_N)
+        sol = solve_plate(PlateSpec(c.side_a, c.side_b, thin, lto, c.pressure), DEFAULT_GRID_N)
         violated = (
             sol.w_max > c.max_deflection
             or sol.sigma_max > lto.failure_stress / c.safety_factor
@@ -88,7 +141,7 @@ class TestMinCapThickness:
     def test_result_satisfies_both_constraints(self, lto):
         c = molding_constraints()
         t = min_cap_thickness(lto, c)
-        sol = solve_plate(PlateSpec(c.side_a, c.side_b, t, lto, c.pressure), VERIFY_GRID_N)
+        sol = solve_plate(PlateSpec(c.side_a, c.side_b, t, lto, c.pressure), DEFAULT_GRID_N)
         assert sol.w_max <= c.max_deflection
         assert sol.sigma_max <= lto.failure_stress / c.safety_factor
 
@@ -108,19 +161,32 @@ class TestMinCapThickness:
         assert t_tight >= t_loose
 
     def test_infeasible_reports_violations(self, lto):
-        c = molding_constraints(max_deflection=0.01 * NM, thickness_max=5 * UM)
-        with pytest.raises(DesignError, match="deflection"):
-            min_cap_thickness(lto, c)
+        # each failed check at thickness_max, in the order the checks run
+        brittle = replace(lto, failure_stress=100 * MPA)
+        cases = [
+            (lto, dict(max_deflection=0.01 * NM), "deflection 13.7 nm > limit 0.01 nm"),
+            (brittle, dict(max_deflection=float("inf")), "stress 1.11e+08 Pa > limit 1e+08 Pa"),
+            (
+                brittle,
+                dict(max_deflection=0.01 * NM, safety_factor=2.0),
+                "deflection 13.7 nm > limit 0.01 nm; stress 1.11e+08 Pa > limit 5e+07 Pa",
+            ),
+        ]
+        for material, overrides, failed in cases:
+            c = molding_constraints(thickness_max=5 * UM, **overrides)
+            with pytest.raises(DesignError) as info:
+                min_cap_thickness(material, c)
+            assert str(info.value) == f"no feasible thickness up to 5 um: {failed}"
 
     def test_stress_constraint_can_govern(self, lto):
         brittle = replace(lto, failure_stress=150 * MPA)
         c = molding_constraints(max_deflection=float("inf"))
         t = min_cap_thickness(brittle, c)
-        sol = solve_plate(PlateSpec(c.side_a, c.side_b, t, brittle, c.pressure), VERIFY_GRID_N)
+        sol = solve_plate(PlateSpec(c.side_a, c.side_b, t, brittle, c.pressure), DEFAULT_GRID_N)
         assert sol.sigma_max <= brittle.failure_stress
         thin = solve_plate(
             PlateSpec(c.side_a, c.side_b, t - THICKNESS_STEP, brittle, c.pressure),
-            VERIFY_GRID_N,
+            DEFAULT_GRID_N,
         )
         assert thin.sigma_max > brittle.failure_stress
 
@@ -137,7 +203,7 @@ class TestMinCapThickness:
         # the deflection limit is met only above the last lattice point
         # below thickness_max
         plate = PlateSpec(30 * UM, 30 * UM, t_limit_um * UM, lto, pressure)
-        limit = solve_plate(plate, VERIFY_GRID_N).w_max
+        limit = solve_plate(plate, DEFAULT_GRID_N).w_max
         c = molding_constraints(
             pressure=pressure, max_deflection=limit, thickness_max=t_max_um * UM
         )
@@ -236,8 +302,8 @@ def test_min_cap_on_fresh_geometry_is_one_cold_solve(lto, monkeypatch):
 
 def test_min_cap_keeps_no_field_per_geometry(lto):
     # after a warm-up geometry, 8 more keep two floats each in the plate
-    # layer and no array: less than one (VERIFY_GRID_N + 1)^2 field in all
-    field_bytes = (VERIFY_GRID_N + 1) ** 2 * 8
+    # layer and no array: less than one (DEFAULT_GRID_N + 1)^2 field in all
+    field_bytes = (DEFAULT_GRID_N + 1) ** 2 * 8
     sides = [(31.7 + 2.3 * k, 44.9 - 1.9 * k) for k in range(9)]
     tracemalloc.start()
     try:

@@ -242,11 +242,26 @@ FIDELITY_SEEDS = tuple(range(1, 11))
 NUMPY_SVD_RTOL = 1e-5
 
 
+# two data sets of distinct points that still do not fix the three
+# constants (a rank-deficient Jacobian): circles in a 1.1 um film, as
+# (diameter um, time min, underetch um)
+RANK_DEFICIENT = {
+    "three-point": [(2, 2, 0.0), (4, 2, 0.0), (6, 2, 0.5)],
+    "four-point": [(2, 40, 20.0), (2, 80, 30.0), (4, 40, 30.0), (4, 80, 45.0)],
+}
+
+
 def fidelity_fits(group):
     """The observations of each fit: for ``"bundled"`` the full fit of the
     bundled data; for ``"bound"`` one full fit whose steps meet a bound;
-    for a seed the leave-one-out fits of the bundled data with each
-    underetch scaled by a factor drawn from 1 +- 5 %."""
+    for a ``RANK_DEFICIENT`` name the full fit of that set; for a seed
+    the leave-one-out fits of the bundled data with each underetch scaled
+    by a factor drawn from 1 +- 5 %."""
+    if group in RANK_DEFICIENT:
+        rows = RANK_DEFICIENT[group]
+        return [
+            [EtchObservation(Hole.circle(d * UM), 1.1 * UM, t * MINUTE, u * UM) for d, t, u in rows]
+        ]
     obs = bundled_observations()
     if group == "bundled":
         return [obs]
@@ -278,10 +293,10 @@ def fitted(observations):
 
 
 # stages per group of fidelity_fits: three per fit
-FIT_STAGES = {"bundled": 3, "bound": 3}
+FIT_STAGES = {"bundled": 3, "bound": 3, **dict.fromkeys(RANK_DEFICIENT, 3)}
 
 
-@pytest.mark.parametrize("group", ["bundled", "bound", *FIDELITY_SEEDS])
+@pytest.mark.parametrize("group", ["bundled", "bound", *RANK_DEFICIENT, *FIDELITY_SEEDS])
 def test_fit_equals_scipy_least_squares_bit_for_bit(monkeypatch, group):
     # with scipy's SVD the port takes scipy's steps: every stage of every
     # fit returns the same x and residuals as scipy.optimize.least_squares
