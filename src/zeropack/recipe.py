@@ -76,8 +76,8 @@ DEFAULT_MOLDING_PRESSURE = 10.0 * MPA
 # Resource bounds: a cold plate solve at grid_n = 256 takes about 1.4 ms
 # and 1.1 MB traced (about 3.5 ms as a process's first solve at that
 # grid, which also builds its sine basis), the release time on 2048^2
-# raster cells about 0.3 s, 79 MB traced and 107 MB of process RSS on a
-# 2-vCPU Xeon (the reference recipe: 128 and 160^2).
+# raster cells about 0.2-0.3 s, 41 MB traced and 72 MB of process RSS on
+# a 2-vCPU Xeon (the reference recipe: 128 and 160^2).
 MAX_GRID_N = 256
 MAX_RASTER_CELLS = 2**22
 

@@ -195,15 +195,16 @@ def time_to_release(
     raises :class:`ReleaseTooSlowError`, and any other is returned
     unchanged whatever the cap.
 
-    A cell whose centre lies at distance ``D_i`` from hole ``i`` counts 0
-    until ``lo_c = min_i T_i(D_i - half_diag)`` and 1 from
-    ``hi_c = min_i T_i(D_i + half_diag)`` on, with ``T_i`` the
-    :func:`_arrival` time of hole ``i``; in between it counts 1 once every
-    subsample point ``s`` is half a ramp inside a front, at
+    A cell whose centre lies at distance ``D_i`` from hole ``i`` counts 1
+    from ``hi_c = min_i T_i(D_i + half_diag)`` on, with ``T_i`` the
+    :func:`_arrival` time of hole ``i``, or earlier once every subsample
+    point ``s`` is half a ramp inside a front, at
     ``max_s min_i T_i(D_s,i + ramp / 2)``. The footprint releases at the
-    latest cell time, so only cells with ``hi_c`` at or above
-    ``t_lo = max lo_c`` are subsampled, in descending ``hi_c`` until no
-    later one can raise the maximum.
+    latest cell time. The cell with the largest ``hi_c`` is subsampled
+    first; its time bounds the result from below, and only a cell with
+    ``hi_c`` above it can be later, so those alone are subsampled, in one
+    pass. As ``hi_c`` exceeds a cell's time by at most the front's travel
+    over one cell diagonal, they are a thin band where the fronts meet last.
 
     Each hole is evaluated on the window ``release_coverage`` gives its front at
     ``t_up``: a hole left out of a cell has ``T_i(D_i - half_diag) > t_up``
@@ -228,65 +229,57 @@ def time_to_release(
     h_s = stack.sacrificial_thickness
     feed = [_feed(params, h_s, hole_area(h)) for h in holes]
     grid = _raster(footprint, holes, pitch)
-    shape = (grid.ys.size, grid.xs.size)
+    cells_hi = np.empty((grid.ys.size, grid.xs.size))
 
-    def cell_times(t_up):
-        """The windows at ``t_up`` and the ``lo_c`` and ``hi_c`` maps on
-        them; None while ``t_up < max_time`` and some cell lies outside
-        every window, where its ``hi_c`` is inf."""
+    def windows_at(t_up):
         try:
             reach = np.array([_front(params, q, h_s, t_up) for q in feed])
         except InputError:
             reach = np.full(len(holes), np.inf)
-        windows = grid.windows(reach)
-        reached = np.zeros(shape, dtype=bool)
+        return grid.windows(reach)
+
+    def spans(windows):
+        """Whether every cell lies in some window; one outside all has
+        ``hi_c`` inf."""
+        reached = np.zeros(cells_hi.shape, dtype=bool)
         for c0, c1, r0, r1 in windows:
             reached[r0:r1, c0:c1] = True
-        if t_up < max_time and not reached.all():
-            return None
-        cells_lo = np.full(shape, np.inf)
-        cells_hi = np.full(shape, np.inf)
+        return reached.all()
+
+    def fill_hi(windows):
+        """Overwrite ``cells_hi`` with the ``hi_c`` map on ``windows``."""
+        cells_hi.fill(np.inf)
         for hole, q, window in zip(grid.holes, feed, windows):
             c0, c1, r0, r1 = window
             d = _front_distance(hole, 0.0, *grid.centres(window))
-            view = cells_lo[r0:r1, c0:c1]
-            np.minimum(view, _arrival(params, q, h_s, d - grid.half_diag), out=view)
             view = cells_hi[r0:r1, c0:c1]
             np.minimum(view, _arrival(params, q, h_s, d + grid.half_diag), out=view)
-        return windows, cells_lo, cells_hi
 
     t_up = min(1.0 * MINUTE, max_time)
-    while (found := cell_times(t_up)) is None:
+    windows = windows_at(t_up)
+    while t_up < max_time and not spans(windows):
         t_up = min(2.0 * t_up, max_time)
-    latest = found[2].max()
-    if t_up < max_time and latest > t_up:
+        windows = windows_at(t_up)
+    fill_hi(windows)
+    if t_up < max_time and (latest := cells_hi.max()) > t_up:
         # a windowed cell time bounds the true one from above, so the
         # windows at ``latest`` hold every hole a cell time comes from;
-        # the maps at ``t_up`` go first, so two sets are never held at once
-        found = None
-        found = cell_times(min(latest, max_time)) or cell_times(t_up)
-    windows, cells_lo, cells_hi = found
+        # windows only grow with time, so these still span the raster
+        fill_hi(windows := windows_at(min(latest, max_time)))
 
-    rows, cols = np.nonzero(cells_hi >= cells_lo.max())
-    order = np.argsort(cells_hi[rows, cols])[::-1]
-    rows, cols = rows[order], cols[order]
-    bounds = cells_hi[rows, cols]
-    half_ramp = 0.5 * grid.ramp
-    best = -np.inf
-    start, size = 0, 64
-    while start < rows.size and bounds[start] > best:
-        r, c = rows[start : start + size], cols[start : start + size]
+    def cell_times(rows, cols):
         sub = grid.subsample_min(
             windows,
-            r,
-            c,
+            rows,
+            cols,
             lambda k, x, y: _arrival(
-                params, feed[k], h_s, _front_distance(grid.holes[k], 0.0, x, y) + half_ramp
+                params, feed[k], h_s, _front_distance(grid.holes[k], 0.0, x, y) + 0.5 * grid.ramp
             ),
         )
-        best = max(best, float(np.minimum(bounds[start : start + size], sub.max(axis=1)).max()))
-        start += size
-        size *= 2
+        return np.minimum(cells_hi[rows, cols], sub.max(axis=1))
+
+    first = cell_times(*np.unravel_index([cells_hi.argmax()], cells_hi.shape))[0]
+    best = float(cell_times(*np.nonzero(cells_hi > first)).max(initial=first))
     if best > max_time:
         raise ReleaseTooSlowError(
             f"footprint not fully released after {max_time / MINUTE:g} min"

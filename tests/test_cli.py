@@ -12,10 +12,13 @@ import numpy as np
 import pytest
 
 from conftest import FAST_RECIPE, REFERENCE_RECIPE, REPO, SRC, load_perfbench
+from oracles import closed_form_underetch
 from zeropack import cli, mechanics
 from zeropack import release as release_mod
 from zeropack.cli import main
+from zeropack.geometry import Hole, PackageStack, Rect
 from zeropack.pipeline import parse_tabular_report
+from zeropack.units import MINUTE, UM
 
 
 # The seed's tables print the release time of a bisection that stopped up
@@ -77,6 +80,29 @@ class TestSimulate:
         assert capsys.readouterr().out == ""
         parsed = parse_tabular_report(out_file.read_text())
         assert parsed["passed"][1] == 1.0
+
+    def test_probe_rows_print_the_closed_form_front(self, fast_recipe_file, capsys):
+        # FAST_RECIPE probes its one 2 um circle in 1.1 um of sacrificial
+        # film 2 min into the etch, with the default etch constants
+        assert main(["simulate", str(fast_recipe_file), "--format", "tabular"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+        probe = {field: (unit, value) for field, unit, value in rows if field.startswith("probe")}
+        stack = PackageStack(1.1 * UM, 2 * UM, 2.5 * UM, Rect(6 * UM, 6 * UM))
+        params = release_mod.DEFAULT_ETCH_PARAMS
+        u = closed_form_underetch(Hole.circle(2 * UM), stack, params, 2 * MINUTE)
+        assert probe == {"probe_time": ("min", "2"), "probe_underetch": ("um", f"{u / UM:.6g}")}
+
+    def test_default_max_deposition_is_ten_um(self, tmp_path, capsys):
+        # polysilicon does not seal a 2 um hole within the default cap on
+        # the deposition, so with no max_deposition line the cap decides
+        path = tmp_path / "polysi.recipe"
+        path.write_text("[materials]\nsealing = polysi_lpcvd\n\n" + FAST_RECIPE)
+        assert "max_deposition" not in path.read_text()
+        assert main(["simulate", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "zeropack: model error: clogging: "
+            "hole of 2 um does not seal within 10 um of deposition\n"
+        )
 
     def test_constraint_failure_exits_one(self, tmp_path):
         text = FAST_RECIPE.replace("max_deflection = 100nm", "max_deflection = 0.001nm")

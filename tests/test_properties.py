@@ -200,30 +200,43 @@ class TestCoverageOracle:
 
 @st.composite
 def release_cases(draw):
-    """1 to 6 mixed-shape holes on a raster of 8 to 32 cells along its
-    longer side, etch constants whose transport terms may be 0, a time
-    cap some layouts do not release by, and now and then a hole covering
-    the whole footprint."""
+    """1 to 6 mixed-shape holes, or a row of 3 to 10 equal circles along a
+    long, thin footprint, on a raster of 8 to 32 cells along its longer
+    side, etch constants whose transport terms may be 0, a time cap some
+    layouts do not release by, and now and then a hole covering the whole
+    footprint."""
     fw = draw(st.floats(min_value=6.0, max_value=15.0)) * UM
     fl = draw(st.floats(min_value=6.0, max_value=15.0)) * UM
     cx = draw(st.floats(min_value=-50.0, max_value=50.0)) * UM
     cy = draw(st.floats(min_value=-50.0, max_value=50.0)) * UM
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        # equal circles evenly spaced along a long, thin footprint at the
+        # origin, all lengths whole multiples of 2**-20 m (about 0.95 um):
+        # mirror-image and repeated cells tie exactly for the latest time
+        unit = 2.0**-20
+        count = draw(st.integers(min_value=3, max_value=10))
+        step = draw(st.integers(min_value=3, max_value=8)) * unit
+        fw, fl = count * step, draw(st.integers(min_value=1, max_value=4)) * unit
+        cx = cy = 0.0
+        d1 = draw(st.floats(min_value=0.5, max_value=2.0)) * UM
+        holes = [Hole.circle(d1, ((k + 0.5) * step - 0.5 * fw, 0.0)) for k in range(count)]
+    else:
+        holes = []
+        for _ in range(draw(st.integers(min_value=1, max_value=6))):
+            shape = draw(st.sampled_from(["circle", "square", "rectangle"]))
+            d1 = draw(st.floats(min_value=0.5, max_value=3.0)) * UM
+            center = (
+                cx + draw(st.floats(min_value=-0.5, max_value=0.5)) * fw,
+                cy + draw(st.floats(min_value=-0.5, max_value=0.5)) * fl,
+            )
+            if shape == "circle":
+                holes.append(Hole.circle(d1, center))
+            elif shape == "square":
+                holes.append(Hole.square(d1, center))
+            else:
+                ratio = draw(st.floats(min_value=1.0, max_value=3.0))
+                holes.append(Hole.rectangle(d1, ratio * d1, center))
     footprint = Rect(fw, fl, (cx, cy))
-    holes = []
-    for _ in range(draw(st.integers(min_value=1, max_value=6))):
-        shape = draw(st.sampled_from(["circle", "square", "rectangle"]))
-        d1 = draw(st.floats(min_value=0.5, max_value=3.0)) * UM
-        center = (
-            cx + draw(st.floats(min_value=-0.5, max_value=0.5)) * fw,
-            cy + draw(st.floats(min_value=-0.5, max_value=0.5)) * fl,
-        )
-        if shape == "circle":
-            holes.append(Hole.circle(d1, center))
-        elif shape == "square":
-            holes.append(Hole.square(d1, center))
-        else:
-            ratio = draw(st.floats(min_value=1.0, max_value=3.0))
-            holes.append(Hole.rectangle(d1, ratio * d1, center))
     if draw(st.integers(min_value=0, max_value=9)) == 3:
         holes.append(Hole.square(2.0 * max(fw, fl), (cx, cy)))
     params = EtchParams(

@@ -23,6 +23,7 @@ from zeropack.geometry import (
     Hole,
     PackageStack,
     Rect,
+    _Raster,
     _raster_shape,
     default_coverage_pitch,
     hole_area,
@@ -537,9 +538,35 @@ class TestTimeToRelease:
         # read off the arrival times: the raster is never asked
         assert queries == []
 
+    def test_reference_subsamples_the_latest_cell_then_one_band(
+        self, reference_recipe, monkeypatch
+    ):
+        # the cell with the largest upper bound alone, then in one pass
+        # the 48 cells whose bound exceeds its time, of 160^2
+        calls = []
+        subsample_min = _Raster.subsample_min
+
+        def counted(self, windows, rows, cols, field):
+            calls.append(rows.size)
+            return subsample_min(self, windows, rows, cols, field)
+
+        monkeypatch.setattr(_Raster, "subsample_min", counted)
+        r = reference_recipe
+        time_to_release(
+            r.stack.cavity_footprint,
+            r.holes,
+            r.stack,
+            r.etch,
+            r.material("structural"),
+            max_time=r.etch_max_time,
+            grid_pitch=r.coverage_pitch,
+        )
+        assert calls == [1, 48]
+
     def test_reference_release_peak_memory_per_cell(self, reference_recipe):
-        # the estimate drops its maps at t_up before building the later
-        # ones (35 B/cell held both); it peaks at about 19 B/cell
+        # the estimate holds one raster-sized float map of upper bounds
+        # (8 B/cell), rewritten in place when t_up moves, and subsamples
+        # only the cells past one exact time; it peaks at about 10 B/cell
         r = set_param(reference_recipe, "release.coverage_pitch", 58.59375 * NM)
         cells = 512 * 512
         assert math.prod(_raster_shape(r.stack.cavity_footprint, r.coverage_pitch)) == cells
@@ -557,7 +584,7 @@ class TestTimeToRelease:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / cells <= 24.0
+        assert peak / cells <= 14.0
 
     def test_reference_release_time_is_where_the_raster_covers(self, reference_recipe):
         # independent of the arrival times: the coverage raster, and the
